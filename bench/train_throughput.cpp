@@ -1,26 +1,20 @@
 // Training-throughput + quality baseline: episodes/sec AND final mean
-// reward of the sequential trainer vs the vectorized (VecEnv +
-// batched-forward) rollout engine and the async actor–learner, on one
-// small instance. On a single core the speedup comes from NoGrad
+// reward of the one training loop at VecEnv width 1, 4 and 8 (lockstep
+// waves, batched no-grad forwards) and in async actor–learner mode, on
+// one small instance. On a single core the speedup comes from NoGrad
 // inference rollouts and amortizing per-op autograd dispatch over the
 // batch, not from threads — which is exactly the regime RL training
 // lives in (many tiny forwards). Numbers land in
-// BENCH_train_throughput.json (throughput series, kept stable for
-// continuity) and BENCH_train_quality.json (speed AND reward per mode,
-// the series PR 6's cadence fix is judged by: multi-env runs must match
-// sequential reward, not just outrun it).
+// BENCH_train_throughput.json (throughput series) and
+// BENCH_train_quality.json (speed AND reward per mode: multi-env runs
+// must match the width-1 reward, not just outrun it).
 //
 //   READYS_BENCH_EPISODES  episodes per mode (default 192)
 //   READYS_BENCH_TILES     Cholesky tile count (default 4)
 //   READYS_BENCH_SIGMA     duration noise level (default 0.3)
 //   READYS_BENCH_TRAINER   a2c | ppo (default a2c)
 //   READYS_HIDDEN          embedding width (default 32)
-//
-// The vec N=1 cell doubles as a live bit-exactness probe: its final
-// mean reward must equal the sequential cell's. The vec-coarse cell
-// keeps the old one-update-per-round cadence (updates_per_round = 1) as
-// a regression fingerprint of the reward collapse this bench guards
-// against.
+//   READYS_BENCH_ASYNC_ACTORS / READYS_BENCH_ASYNC_BATCH  async knobs
 
 #include <chrono>
 #include <cmath>
@@ -35,7 +29,7 @@ using namespace readys;
 namespace {
 
 struct ModeSpec {
-  const char* mode;  ///< sequential | vec | vec-coarse | async | async-strict
+  const char* mode;  ///< vec | async
   int num_envs;
 };
 
@@ -47,7 +41,7 @@ struct Cell {
   double wall_s = 0.0;
   double episodes_per_s = 0.0;
   double updates_per_s = 0.0;
-  double final_mean_reward = 0.0;  ///< fingerprint (seq == vec N=1)
+  double final_mean_reward = 0.0;
 };
 
 Cell run_mode(const core::RunConfig& cfg, const dag::TaskGraph& graph,
@@ -65,42 +59,21 @@ Cell run_mode(const core::RunConfig& cfg, const dag::TaskGraph& graph,
       rl::StateEncoder::node_feature_width(graph.num_kernel_types()),
       rl::StateEncoder::kResourceFeatureWidth, cfg.agent);
   rl::TrainOptions opts = cfg.train_options();
-  rl::AgentConfig agent = cfg.agent;
-  const std::string mode = spec.mode;
-  if (mode == "vec-coarse") {
-    opts.updates_per_round = 1;  // the pre-fix cadence: 1 update/round
-  } else if (mode == "vec-g2") {
-    opts.updates_per_round = spec.num_envs / 2;  // 2-episode groups
-  } else if (mode == "vec-coarse-lr") {
-    opts.updates_per_round = 1;
-    agent.lr *= spec.num_envs;  // linear LR scaling with batch size
-  } else if (mode == "async" || mode == "async-strict") {
+  if (std::string(spec.mode) == "async") {
     opts.async = true;
-    opts.async_strict = (mode == "async-strict");
     opts.async_actors = util::env_int("READYS_BENCH_ASYNC_ACTORS", 0);
     opts.async_batch = util::env_int("READYS_BENCH_ASYNC_BATCH", 1);
   }
   rl::TrainReport report;
   const auto t0 = clock::now();
-  if (mode == "sequential") {
-    rl::SchedulingEnv env(graph, platform, costs, cfg.env_config());
-    if (cfg.trainer == "ppo") {
-      rl::PpoTrainer trainer(net, agent);
-      report = trainer.train(env, opts);
-    } else {
-      rl::A2CTrainer trainer(net, agent);
-      report = trainer.train(env, opts);
-    }
+  rl::VecEnv envs(graph, platform, costs, cfg.env_config(),
+                  static_cast<std::size_t>(spec.num_envs));
+  if (cfg.trainer == "ppo") {
+    rl::PpoTrainer trainer(net, cfg.agent);
+    report = trainer.train(envs, opts);
   } else {
-    rl::VecEnv envs(graph, platform, costs, cfg.env_config(),
-                    static_cast<std::size_t>(spec.num_envs));
-    if (cfg.trainer == "ppo") {
-      rl::PpoTrainer trainer(net, agent);
-      report = trainer.train(envs, opts);
-    } else {
-      rl::A2CTrainer trainer(net, agent);
-      report = trainer.train(envs, opts);
-    }
+    rl::A2CTrainer trainer(net, cfg.agent);
+    report = trainer.train(envs, opts);
   }
   cell.wall_s = std::chrono::duration<double>(clock::now() - t0).count();
   cell.updates = report.updates;
@@ -141,26 +114,25 @@ int main() {
       cfg.episodes, cfg.sigma);
 
   const std::vector<ModeSpec> modes{
-      {"sequential", 1}, {"vec", 1},         {"vec", 4},  {"vec", 8},
-      {"vec-g2", 8},     {"vec-coarse", 8},   {"vec-coarse-lr", 8},
-      {"async-strict", 8}, {"async", 8}};
+      {"vec", 1}, {"vec", 4}, {"vec", 8}, {"async", 8}};
   std::vector<Cell> cells;
   for (const auto& m : modes) {
     cells.push_back(run_mode(cfg, graph, platform, costs, m));
     std::fflush(stdout);
   }
 
-  const Cell& seq = cells[0];
+  const Cell& base = cells[0];  // width 1: one episode at a time
   const auto speedup_of = [&](const Cell& c) {
-    return seq.episodes_per_s > 0.0 ? c.episodes_per_s / seq.episodes_per_s
-                                    : 0.0;
+    return base.episodes_per_s > 0.0
+               ? c.episodes_per_s / base.episodes_per_s
+               : 0.0;
   };
-  // Reward gap vs sequential in percent of |sequential|; the acceptance
-  // bar for the cadence fix is |gap| <= 10 on the fast multi-env cells.
+  // Reward gap vs width 1 in percent of |width 1|; the acceptance bar is
+  // |gap| <= 10 on the fast multi-env cells.
   const auto reward_delta_pct = [&](const Cell& c) {
-    const double denom = std::fabs(seq.final_mean_reward);
+    const double denom = std::fabs(base.final_mean_reward);
     return denom > 0.0
-               ? 100.0 * (c.final_mean_reward - seq.final_mean_reward) / denom
+               ? 100.0 * (c.final_mean_reward - base.final_mean_reward) / denom
                : 0.0;
   };
 
@@ -178,9 +150,8 @@ int main() {
   table.print();
 
   // The headline cell: the fastest multi-env mode whose reward matched
-  // sequential within the +-10% acceptance band. Speed that was bought
-  // by degrading the learned policy (vec-coarse, and async free mode on
-  // an oversubscribed core) never headlines.
+  // width 1 within the +-10% acceptance band. Speed bought by degrading
+  // the learned policy never headlines.
   const Cell* headline = &cells.front();
   for (const Cell& c : cells) {
     if (&c == &cells.front()) continue;
@@ -188,7 +159,7 @@ int main() {
     if (c.episodes_per_s > headline->episodes_per_s) headline = &c;
   }
   std::printf(
-      "\n%s N=%d vs sequential: %.2fx episodes/s at %.1f%% reward delta\n",
+      "\n%s N=%d vs width 1: %.2fx episodes/s at %.1f%% reward delta\n",
       headline->mode.c_str(), headline->num_envs, speedup_of(*headline),
       reward_delta_pct(*headline));
 

@@ -11,8 +11,7 @@
 //   readys_cli cluster-bench [--config <run.json>] [cluster flags]
 //
 // train flags: [--trainer a2c|ppo] [--num-envs <n>]
-//              [--updates-per-round <g>] [--async] [--async-strict]
-//              [--async-actors <n>] [--async-queue <n>] [--async-batch <n>]
+//              [--async] [--async-actors <n>] [--async-batch <n>]
 //              [--checkpoint-dir <dir>] [--checkpoint-every <n>]
 //              [--checkpoint-retain <k>] [--resume]
 //              [--metrics-out <f.jsonl>] [--trace-out <f.json>]
@@ -23,7 +22,10 @@
 // document (see docs/api.md).
 
 #include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -49,10 +51,7 @@ int usage() {
       "  readys_cli train    --config <run.json> <out.weights> [train "
       "flags]\n"
       "    train flags: [--trainer a2c|ppo] [--num-envs <n>]\n"
-      "                 [--updates-per-round <g>] [--async] "
-      "[--async-strict]\n"
-      "                 [--async-actors <n>] [--async-queue <n>] "
-      "[--async-batch <n>]\n"
+      "                 [--async] [--async-actors <n>] [--async-batch <n>]\n"
       "                 [--checkpoint-dir <dir>] [--checkpoint-every <n>]\n"
       "                 [--checkpoint-retain <k>] [--resume]\n"
       "                 [--metrics-out <f.jsonl>] [--trace-out <f.json>] "
@@ -84,6 +83,34 @@ int usage() {
   return 2;
 }
 
+/// Whole-string integer parse for `readys_cli train`: "12x", "" or an
+/// out-of-range value is reported with the argument's name, never
+/// truncated the way atoi would.
+bool parse_int_arg(const char* name, const char* text, int& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec != std::errc() || ptr != end || ptr == text) {
+    std::fprintf(stderr, "train: %s must be an integer, got '%s'\n", name,
+                 text);
+    return false;
+  }
+  return true;
+}
+
+/// Whole-string finite floating-point parse; see parse_int_arg.
+bool parse_double_arg(const char* name, const char* text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    std::fprintf(stderr, "train: %s must be a number, got '%s'\n", name,
+                 text);
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 int cmd_train(int argc, char** argv) {
   core::RunConfig cfg;
   const char* out_path = nullptr;
@@ -96,11 +123,13 @@ int cmd_train(int argc, char** argv) {
   } else {
     if (argc < 9) return usage();
     cfg.app = argv[2];
-    cfg.tiles = std::atoi(argv[3]);
-    cfg.ncpu = std::atoi(argv[4]);
-    cfg.ngpu = std::atoi(argv[5]);
-    cfg.episodes = std::atoi(argv[6]);
-    cfg.sigma = std::atof(argv[7]);
+    if (!parse_int_arg("tiles", argv[3], cfg.tiles) ||
+        !parse_int_arg("ncpu", argv[4], cfg.ncpu) ||
+        !parse_int_arg("ngpu", argv[5], cfg.ngpu) ||
+        !parse_int_arg("episodes", argv[6], cfg.episodes) ||
+        !parse_double_arg("sigma", argv[7], cfg.sigma)) {
+      return 2;
+    }
     out_path = argv[8];
     flag_start = 9;
   }
@@ -112,26 +141,29 @@ int cmd_train(int argc, char** argv) {
     if (flag == "--trainer" && i + 1 < argc) {
       cfg.trainer = argv[++i];
     } else if (flag == "--num-envs" && i + 1 < argc) {
-      cfg.num_envs = std::atoi(argv[++i]);
-    } else if (flag == "--updates-per-round" && i + 1 < argc) {
-      cfg.updates_per_round = std::atoi(argv[++i]);
+      if (!parse_int_arg("--num-envs", argv[++i], cfg.num_envs)) return 2;
     } else if (flag == "--async") {
       cfg.async = true;
-    } else if (flag == "--async-strict") {
-      cfg.async = true;
-      cfg.async_strict = true;
     } else if (flag == "--async-actors" && i + 1 < argc) {
-      cfg.async_actors = std::atoi(argv[++i]);
-    } else if (flag == "--async-queue" && i + 1 < argc) {
-      cfg.async_queue = std::atoi(argv[++i]);
+      if (!parse_int_arg("--async-actors", argv[++i], cfg.async_actors)) {
+        return 2;
+      }
     } else if (flag == "--async-batch" && i + 1 < argc) {
-      cfg.async_batch = std::atoi(argv[++i]);
+      if (!parse_int_arg("--async-batch", argv[++i], cfg.async_batch)) {
+        return 2;
+      }
     } else if (flag == "--checkpoint-dir" && i + 1 < argc) {
       cfg.checkpoint_dir = argv[++i];
     } else if (flag == "--checkpoint-every" && i + 1 < argc) {
-      cfg.checkpoint_every = std::atoi(argv[++i]);
+      if (!parse_int_arg("--checkpoint-every", argv[++i],
+                         cfg.checkpoint_every)) {
+        return 2;
+      }
     } else if (flag == "--checkpoint-retain" && i + 1 < argc) {
-      cfg.checkpoint_retain = std::atoi(argv[++i]);
+      if (!parse_int_arg("--checkpoint-retain", argv[++i],
+                         cfg.checkpoint_retain)) {
+        return 2;
+      }
     } else if (flag == "--resume") {
       cfg.resume = true;
     } else if (flag == "--metrics-out" && i + 1 < argc) {
@@ -170,27 +202,15 @@ int cmd_train(int argc, char** argv) {
               graph.name().c_str(), platform.name().c_str(), cfg.episodes,
               cfg.sigma, cfg.trainer.c_str(), cfg.num_envs);
   rl::TrainReport report;
-  // Async mode needs the VecEnv's per-slot envs even at width 1.
-  if (cfg.num_envs > 1 || cfg.async) {
-    util::ThreadPool pool;
-    rl::VecEnv envs(graph, platform, costs, cfg.env_config(),
-                    static_cast<std::size_t>(cfg.num_envs), &pool);
-    if (cfg.trainer == "ppo") {
-      rl::PpoTrainer trainer(agent.net(), cfg.agent);
-      report = trainer.train(envs, opts);
-    } else {
-      rl::A2CTrainer trainer(agent.net(), cfg.agent);
-      report = trainer.train(envs, opts);
-    }
+  util::ThreadPool pool;
+  rl::VecEnv envs(graph, platform, costs, cfg.env_config(),
+                  static_cast<std::size_t>(cfg.num_envs), &pool);
+  if (cfg.trainer == "ppo") {
+    rl::PpoTrainer trainer(agent.net(), cfg.agent);
+    report = trainer.train(envs, opts);
   } else {
-    rl::SchedulingEnv env(graph, platform, costs, cfg.env_config());
-    if (cfg.trainer == "ppo") {
-      rl::PpoTrainer trainer(agent.net(), cfg.agent);
-      report = trainer.train(env, opts);
-    } else {
-      rl::A2CTrainer trainer(agent.net(), cfg.agent);
-      report = trainer.train(env, opts);
-    }
+    rl::A2CTrainer trainer(agent.net(), cfg.agent);
+    report = trainer.train(envs, opts);
   }
   agent.save(out_path);
   manifest.add_output(out_path);

@@ -52,6 +52,7 @@
 #include "rl/policy_net.hpp"
 #include "rl/readys_scheduler.hpp"
 #include "rl/state_encoder.hpp"
+#include "rl/train_loop.hpp"
 #include "rl/vec_env.hpp"
 #include "sched/batch_mode.hpp"
 #include "sched/critical_path.hpp"

@@ -234,12 +234,9 @@ std::string RunConfig::to_json() const {
       .field("checkpoint_retain", checkpoint_retain)
       .field("resume", resume)
       .field("divergence_patience", divergence_patience)
-      .field("updates_per_round", updates_per_round)
       .field("async", async)
       .field("async_actors", async_actors)
-      .field("async_queue", async_queue)
       .field("async_batch", async_batch)
-      .field("async_strict", async_strict)
       .field("serve_sessions", serve_sessions)
       .field("serve_rate", serve_rate)
       .field("serve_queue", serve_queue)
@@ -291,12 +288,9 @@ RunConfig RunConfig::from_json(const std::string& json) {
     else if (key == "checkpoint_retain") cfg.checkpoint_retain = parse_int_field(r);
     else if (key == "resume") cfg.resume = r.parse_bool();
     else if (key == "divergence_patience") cfg.divergence_patience = parse_int_field(r);
-    else if (key == "updates_per_round") cfg.updates_per_round = parse_int_field(r);
     else if (key == "async") cfg.async = r.parse_bool();
     else if (key == "async_actors") cfg.async_actors = parse_int_field(r);
-    else if (key == "async_queue") cfg.async_queue = parse_int_field(r);
     else if (key == "async_batch") cfg.async_batch = parse_int_field(r);
-    else if (key == "async_strict") cfg.async_strict = r.parse_bool();
     else if (key == "serve_sessions") cfg.serve_sessions = parse_int_field(r);
     else if (key == "serve_rate") cfg.serve_rate = r.parse_number();
     else if (key == "serve_queue") cfg.serve_queue = parse_int_field(r);
@@ -413,14 +407,8 @@ void RunConfig::validate() const {
   if (checkpoint_retain < 1) {
     throw std::invalid_argument("RunConfig: checkpoint_retain must be >= 1");
   }
-  if (updates_per_round < 0) {
-    throw std::invalid_argument("RunConfig: updates_per_round must be >= 0");
-  }
   if (async_actors < 0) {
     throw std::invalid_argument("RunConfig: async_actors must be >= 0");
-  }
-  if (async_queue < 0) {
-    throw std::invalid_argument("RunConfig: async_queue must be >= 0");
   }
   if (async_batch < 1) {
     throw std::invalid_argument("RunConfig: async_batch must be >= 1");
@@ -520,12 +508,9 @@ rl::TrainOptions RunConfig::train_options() const {
   opts.checkpoint_retain = checkpoint_retain;
   opts.resume = resume;
   opts.divergence_patience = divergence_patience;
-  opts.updates_per_round = updates_per_round;
   opts.async = async;
   opts.async_actors = async_actors;
-  opts.async_queue = async_queue;
   opts.async_batch = async_batch;
-  opts.async_strict = async_strict;
   return opts;
 }
 

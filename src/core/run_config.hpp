@@ -44,7 +44,7 @@ struct RunConfig {
   std::string scheduler = "mct";  ///< a sched::registry() name
   std::string trainer = "a2c";    ///< a2c | ppo
   int episodes = 200;
-  int num_envs = 1;  ///< VecEnv width; 1 trains sequentially
+  int num_envs = 1;  ///< VecEnv width (1 = one episode at a time)
   std::uint64_t seed = 1;
   std::string checkpoint_dir;
   int checkpoint_every = 50;
@@ -52,13 +52,10 @@ struct RunConfig {
   bool resume = false;
   int divergence_patience = 3;
 
-  // --- multi-env cadence + async actor–learner (see rl::TrainOptions) ---
-  int updates_per_round = 0;  ///< 0 = one update per episode (vec runs)
-  bool async = false;         ///< async actor–learner mode (vec runs)
-  int async_actors = 0;       ///< 0 = one actor thread per env
-  int async_queue = 0;        ///< episode queue capacity; 0 = 2 * num_envs
-  int async_batch = 1;        ///< episodes drained per learner update
-  bool async_strict = false;  ///< deterministic windowed test mode
+  // --- async actor–learner (see rl::TrainOptions) ---
+  bool async = false;    ///< async actor–learner mode
+  int async_actors = 0;  ///< 0 = one actor thread per env
+  int async_batch = 1;   ///< episodes the learner takes per pass
 
   // --- decision service (serve-bench; see src/serve) ---
   int serve_sessions = 64;         ///< sessions the load generator offers

@@ -1,127 +1,89 @@
 #include "rl/a2c.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
 
-#include "nn/serialize.hpp"
 #include "obs/obs.hpp"
-#include "rl/checkpoint.hpp"
 #include "tensor/ops.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 
 namespace readys::rl {
 
 A2CTrainer::A2CTrainer(PolicyNet& net, const AgentConfig& cfg)
-    : net_(&net),
-      cfg_(cfg),
-      optimizer_(net.parameters(), cfg.lr),
-      sample_rng_(cfg.seed ^ 0xA3EC647659359ACDULL) {}
+    : Learner(net, cfg, "a2c", 0xA3EC647659359ACDULL) {}
 
-double shape_reward(const AgentConfig& cfg, double reward) {
-  if (!std::isfinite(reward)) {
-    throw std::domain_error("shape_reward: non-finite reward " +
-                            std::to_string(reward));
-  }
-  if (cfg.squash_reward && reward < 1.0) {
-    reward = reward / (1.0 - reward);  // == mk_HEFT / mk - 1
-  }
-  if (cfg.reward_clip > 0.0) {
-    reward = std::clamp(reward, -cfg.reward_clip, cfg.reward_clip);
-  }
-  return reward;
+int A2CTrainer::episodes_per_learn(const TrainOptions& opts,
+                                   std::size_t width) const {
+  return opts.async ? opts.async_batch : static_cast<int>(width);
 }
 
-double A2CTrainer::shape_reward(double reward) const {
-  return rl::shape_reward(cfg_, reward);
-}
-
-std::size_t A2CTrainer::select_action(const PolicyNet::Output& out,
-                                      bool greedy, util::Rng& rng) const {
-  const tensor::Tensor& p = out.probs.value();
-  if (greedy) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < p.size(); ++i) {
-      if (p[i] > p[best]) best = i;
+std::size_t A2CTrainer::learn(std::vector<EpisodeRollout>& eps,
+                              std::vector<UpdateStats>& stats) {
+  std::size_t applied = 0;
+  for (std::size_t i = 0; i < eps.size(); ++i) {
+    const EpisodeRollout& e = eps[i];
+    const double scale = entropy_scale(e.index);
+    const std::size_t n = e.observations.size();
+    const std::size_t segment =
+        cfg_.unroll > 0 ? static_cast<std::size_t>(cfg_.unroll) : n;
+    for (std::size_t begin = 0; begin < n; begin += segment) {
+      const std::size_t end = std::min(n, begin + segment);
+      double bootstrap = 0.0;
+      if (end < n) {
+        // V of the next segment's first state under the current weights.
+        tensor::NoGradGuard no_grad;
+        bootstrap = net_->forward(e.observations[end]).value.value().item();
+      }
+      const bool ok = update_segment(e, begin, end, bootstrap, scale);
+      guard(ok, 1);
+      if (ok) ++applied;
     }
-    return best;
+    stats[i] = {last_loss_, last_grad_norm_};
   }
-  const double u = rng.uniform();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    acc += p[i];
-    if (u < acc) return i;
-  }
-  return p.size() - 1;  // numerical slack
+  return applied;
 }
 
-bool A2CTrainer::update(const std::vector<StepRecord>& batch,
-                        double bootstrap) {
+bool A2CTrainer::update_segment(const EpisodeRollout& e, std::size_t begin,
+                                std::size_t end, double bootstrap,
+                                double entropy_scale) {
+  std::vector<const Observation*> obs;
+  obs.reserve(end - begin);
+  for (std::size_t s = begin; s < end; ++s) obs.push_back(&e.observations[s]);
+  // Re-forward with gradients on: the rollout recorded values only, so
+  // each update's graph covers exactly its own steps.
+  const auto outs = net_->forward_batched(obs);
+  std::vector<StepRecord> batch;
+  batch.reserve(end - begin);
+  for (std::size_t s = begin; s < end; ++s) {
+    const PolicyNet::Output& out = outs[s - begin];
+    StepRecord rec;
+    rec.log_prob = tensor::pick(out.log_probs, 0, e.actions[s]);
+    rec.value = out.value;
+    rec.entropy = tensor::entropy_row(out.probs);
+    rec.reward = shape_reward(e.rewards[s]);
+    rec.done = (s + 1 == e.observations.size());
+    batch.push_back(std::move(rec));
+  }
+  return update_batched(batch, bootstrap, entropy_scale);
+}
+
+bool A2CTrainer::update_batched(const std::vector<StepRecord>& batch,
+                                double bootstrap, double entropy_scale) {
   if (batch.empty()) return true;
   readys::obs::Telemetry* t_obs = readys::obs::telemetry();
   readys::obs::Span span("rl/a2c_update", "train",
                          t_obs ? &t_obs->update_us : nullptr);
-  // n-step discounted returns, resetting at episode boundaries.
-  std::vector<double> returns(batch.size());
-  double running = bootstrap;
-  for (std::size_t i = batch.size(); i-- > 0;) {
-    if (batch[i].done) {
-      running = batch[i].reward;
-    } else {
-      running = batch[i].reward + cfg_.gamma * running;
-    }
-    returns[i] = running;
-  }
-
-  // Raw advantages; optionally standardized across the batch, which keeps
-  // the policy-gradient magnitude stable when terminal rewards swing
-  // (early random policies can be several HEFT makespans away).
-  std::vector<double> advantages(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    advantages[i] = returns[i] - batch[i].value.value().item();
-  }
-  if (cfg_.normalize_advantage && batch.size() > 1) {
-    const auto s = util::summarize(advantages);
-    const double scale = s.stddev > 1e-8 ? s.stddev : 1.0;
-    for (double& a : advantages) a = (a - s.mean) / scale;
-  }
-
-  tensor::Var loss;
-  bool first = true;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double advantage = advantages[i];
-    tensor::Var target{tensor::Tensor(1, 1, returns[i])};
-    tensor::Var step_loss = tensor::add(
-        tensor::scale(batch[i].log_prob, -advantage),
-        tensor::sub(
-            tensor::scale(tensor::square(tensor::sub(batch[i].value, target)),
-                          cfg_.value_coef),
-            tensor::scale(batch[i].entropy,
-                          cfg_.entropy_beta * entropy_scale_)));
-    loss = first ? step_loss : tensor::add(loss, step_loss);
-    first = false;
-  }
-  loss = tensor::scale(loss, 1.0 / static_cast<double>(batch.size()));
-  return apply_loss(loss);
-}
-
-bool A2CTrainer::update_batched(const std::vector<StepRecord>& batch) {
-  if (batch.empty()) return true;
-  readys::obs::Telemetry* t_obs = readys::obs::telemetry();
-  readys::obs::Span span("rl/a2c_update", "train",
-                         t_obs ? &t_obs->update_us : nullptr);
-  // Same returns/advantages as update() (whole episodes, bootstrap 0).
+  // Discounted returns, resetting at the episode end.
   const std::size_t n = batch.size();
   std::vector<double> returns(n);
-  double running = 0.0;
+  double running = bootstrap;
   for (std::size_t i = n; i-- > 0;) {
     running = batch[i].done ? batch[i].reward
                             : batch[i].reward + cfg_.gamma * running;
     returns[i] = running;
   }
+  // Raw advantages; optionally standardized across the batch, which keeps
+  // the policy-gradient magnitude stable when terminal rewards swing
+  // (early random policies can be several HEFT makespans away).
   std::vector<double> advantages(n);
   for (std::size_t i = 0; i < n; ++i) {
     advantages[i] = returns[i] - batch[i].value.value().item();
@@ -140,789 +102,26 @@ bool A2CTrainer::update_batched(const std::vector<StepRecord>& batch) {
   ents.reserve(n);
   tensor::Tensor neg_adv(n, 1);
   tensor::Tensor rets(n, 1);
-  tensor::Tensor weights(n, 1);
-  bool weighted = false;
   for (std::size_t i = 0; i < n; ++i) {
     lps.push_back(batch[i].log_prob);
     vals.push_back(batch[i].value);
     ents.push_back(batch[i].entropy);
-    // The importance weight is folded into the constant advantage factor
-    // — on-policy steps carry exactly 1.0, an IEEE multiplicative
-    // identity, so this line is bit-identical to -advantages[i] there.
-    neg_adv.at(i, 0) = -advantages[i] * batch[i].is_weight;
+    neg_adv.at(i, 0) = -advantages[i];
     rets.at(i, 0) = returns[i];
-    weights.at(i, 0) = batch[i].is_weight;
-    weighted = weighted || batch[i].is_weight != 1.0;
   }
   const tensor::Var pg = tensor::sum_all(
       tensor::mul(tensor::concat_rows(lps), tensor::Var(std::move(neg_adv))));
-  // Off-policy batches also rho-weight the critic's squared errors (the
-  // value-correction half of V-trace, in loss-weighting form): the MC
-  // returns are realizations of the behavior policy, so steps the current
-  // policy would no longer reach pull V(s) toward the wrong target. The
-  // on-policy graph is untouched — `weighted` is false there.
-  tensor::Var sq_err = tensor::square(
-      tensor::sub(tensor::concat_rows(vals), tensor::Var(std::move(rets))));
-  if (weighted) {
-    sq_err = tensor::mul(tensor::Var(std::move(weights)), sq_err);
-  }
-  const tensor::Var critic =
-      tensor::scale(tensor::sum_all(sq_err), cfg_.value_coef);
+  const tensor::Var critic = tensor::scale(
+      tensor::sum_all(tensor::square(tensor::sub(
+          tensor::concat_rows(vals), tensor::Var(std::move(rets))))),
+      cfg_.value_coef);
   const tensor::Var entropy =
       tensor::scale(tensor::sum_all(tensor::concat_rows(ents)),
-                    cfg_.entropy_beta * entropy_scale_);
+                    cfg_.entropy_beta * entropy_scale);
   const tensor::Var loss =
       tensor::scale(tensor::add(pg, tensor::sub(critic, entropy)),
                     1.0 / static_cast<double>(n));
   return apply_loss(loss);
-}
-
-bool A2CTrainer::apply_loss(const tensor::Var& loss) {
-  readys::obs::Telemetry* t_obs = readys::obs::telemetry();
-  optimizer_.zero_grad();
-  loss.backward();
-  const double grad_norm = optimizer_.clip_grad_norm(cfg_.grad_clip);
-  // A NaN/Inf loss or gradient stepped into Adam poisons the moments and
-  // then every subsequent update; drop the batch instead. The norm is
-  // non-finite iff any gradient entry is, so this one check covers the
-  // whole parameter list.
-  last_loss_ = loss.value().item();
-  last_grad_norm_ = grad_norm;
-  if (!std::isfinite(loss.value().item()) || !std::isfinite(grad_norm)) {
-    optimizer_.zero_grad();
-    if (t_obs) t_obs->optim_skipped.add();
-    return false;
-  }
-  if (net_mutex_ != nullptr) {
-    // Async mode: actors forward-read the weights under shared locks;
-    // only the step itself (the sole writer besides rollback) needs the
-    // exclusive lock — backward/clipping touch gradients, not values.
-    std::unique_lock lock(*net_mutex_);
-    optimizer_.step();
-    net_->bump_weight_version();
-  } else {
-    optimizer_.step();
-    net_->bump_weight_version();
-  }
-  ++updates_;
-  if (t_obs) t_obs->optim_updates.add();
-  return true;
-}
-
-void A2CTrainer::rollback(const std::string& last_good) {
-  std::unique_lock<std::shared_mutex> lock;
-  if (net_mutex_ != nullptr) {
-    lock = std::unique_lock(*net_mutex_);
-  }
-  nn::deserialize_parameters(*net_, last_good);
-  // Fresh optimizer: the moment estimates were built on the divergent
-  // trajectory and would steer the restored weights right back into it.
-  optimizer_ = nn::Adam(net_->parameters(), cfg_.lr);
-}
-
-bool A2CTrainer::update_group(const std::vector<EpisodeRollout>& eps,
-                              std::size_t begin, std::size_t end,
-                              bool off_policy) {
-  std::size_t total = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    total += eps[i].observations.size();
-  }
-  if (total == 0) return true;
-  std::vector<const Observation*> obs;
-  obs.reserve(total);
-  for (std::size_t i = begin; i < end; ++i) {
-    for (const Observation& o : eps[i].observations) obs.push_back(&o);
-  }
-  // Re-forward with gradients on: the rollout recorded values only, so
-  // each update's graph covers exactly its own episodes instead of a
-  // whole round's packed graph.
-  const auto outs = net_->forward_batched(obs);
-  std::vector<StepRecord> batch;
-  batch.reserve(total);
-  std::size_t k = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const EpisodeRollout& e = eps[i];
-    const std::size_t steps = e.observations.size();
-    for (std::size_t s = 0; s < steps; ++s, ++k) {
-      StepRecord rec;
-      rec.log_prob = tensor::pick(outs[k].log_probs, 0, e.actions[s]);
-      rec.value = outs[k].value;
-      rec.entropy = tensor::entropy_row(outs[k].probs);
-      rec.reward = shape_reward(e.rewards[s]);
-      rec.done = (s + 1 == steps);
-      if (off_policy && e.log_probs.size() == steps) {
-        // Truncated importance sampling (the rho-clipping half of
-        // V-trace): the trajectory was acted by the stale behavior
-        // policy mu, so the policy-gradient term is reweighted by
-        // min(1, pi(a|s)/mu(a|s)). Clipping at 1 keeps the variance
-        // bounded; steps the current policy has moved away from are
-        // down-weighted toward zero instead of blown up.
-        const double ratio =
-            std::exp(rec.log_prob.value().item() - e.log_probs[s]);
-        rec.is_weight = std::isfinite(ratio) ? std::min(1.0, ratio) : 1.0;
-      }
-      batch.push_back(std::move(rec));
-    }
-  }
-  return update_batched(batch);
-}
-
-TrainReport A2CTrainer::train(SchedulingEnv& env, const TrainOptions& opts) {
-  TrainReport report;
-  report.best_makespan = std::numeric_limits<double>::infinity();
-  std::vector<StepRecord> batch;
-  batch.reserve(static_cast<std::size_t>(cfg_.unroll));
-
-  int start_ep = 0;
-  int divergent_streak = 0;
-  if (opts.resume && !opts.checkpoint_dir.empty()) {
-    CheckpointData ck;
-    if (load_checkpoint(opts.checkpoint_dir, *net_, ck)) {
-      apply_checkpoint_to_trainer(ck, "a2c", opts.seed, 1, optimizer_,
-                                  sample_rng_);
-      start_ep = std::min(ck.progress.episode, opts.episodes);
-      updates_ = ck.progress.updates;
-      report.skipped_updates = ck.progress.skipped_updates;
-      report.rollbacks = ck.progress.rollbacks;
-      divergent_streak = ck.progress.divergent_streak;
-      if (opts.verbose) {
-        util::log_info() << "resumed from " << opts.checkpoint_dir
-                         << " at episode " << ck.progress.episode;
-      }
-    }
-  }
-  report.start_episode = start_ep;
-
-  // Divergence guard: updates that went NaN/Inf are skipped; after
-  // `divergence_patience` consecutive skips the weights roll back to the
-  // last good snapshot (refreshed at every checkpoint interval).
-  std::string last_good = nn::serialize_parameters(*net_);
-  const int patience = std::max(1, opts.divergence_patience);
-  const int every = std::max(1, opts.checkpoint_every);
-  const CheckpointOptions ck_opts{opts.checkpoint_retain};
-  const auto make_ckpt = [&](int episode) {
-    CheckpointData d;
-    d.progress = {episode, updates_, report.skipped_updates, report.rollbacks,
-                  divergent_streak};
-    d.trainer = "a2c";
-    d.env_seed = opts.seed;
-    d.num_envs = 1;
-    d.rngs = {{"sample", sample_rng_.state()}};
-    d.optimizer = optimizer_.state_rows();
-    return d;
-  };
-  const auto guarded = [&](bool applied) {
-    if (applied) {
-      divergent_streak = 0;
-      return;
-    }
-    ++report.skipped_updates;
-    if (++divergent_streak >= patience) {
-      rollback(last_good);
-      ++report.rollbacks;
-      divergent_streak = 0;
-    }
-  };
-
-  using obs_clock = std::chrono::steady_clock;
-  for (int ep = start_ep; ep < opts.episodes; ++ep) {
-    readys::obs::Telemetry* t_obs = readys::obs::telemetry();
-    const auto ep_t0 = t_obs ? obs_clock::now() : obs_clock::time_point{};
-    entropy_scale_ =
-        cfg_.entropy_decay
-            ? 1.0 - static_cast<double>(ep) /
-                        static_cast<double>(std::max(1, opts.episodes))
-            : 1.0;
-    env.reset(opts.seed + static_cast<std::uint64_t>(ep));
-    batch.clear();
-    double episode_reward = 0.0;
-    bool done = false;
-    while (!done) {
-      const Observation& obs = env.observation();
-      PolicyNet::Output out = net_->forward(obs);
-      const std::size_t a =
-          select_action(out, /*greedy=*/false, sample_rng_);
-      StepRecord rec;
-      rec.log_prob = tensor::pick(out.log_probs, 0, a);
-      rec.value = out.value;
-      rec.entropy = tensor::entropy_row(out.probs);
-      const auto result = env.step(a);
-      rec.reward = shape_reward(result.reward);
-      rec.done = result.done;
-      episode_reward += result.reward;
-      done = result.done;
-      batch.push_back(std::move(rec));
-
-      if (done) {
-        guarded(update(batch, 0.0));
-        batch.clear();
-      } else if (cfg_.unroll > 0 &&
-                 batch.size() >= static_cast<std::size_t>(cfg_.unroll)) {
-        const double bootstrap =
-            net_->forward(env.observation()).value.value().item();
-        guarded(update(batch, bootstrap));
-        batch.clear();
-      }
-    }
-    report.episode_rewards.push_back(episode_reward);
-    report.episode_makespans.push_back(env.makespan());
-    report.best_makespan = std::min(report.best_makespan, env.makespan());
-    if (t_obs != nullptr && t_obs->sink() != nullptr) {
-      const double wall_s =
-          std::chrono::duration<double>(obs_clock::now() - ep_t0).count();
-      const auto decisions = env.decisions_this_episode();
-      readys::obs::JsonObject row;
-      row.field("row", "episode")
-          .field("trainer", "a2c")
-          .field("episode", ep + 1)
-          .field("reward", episode_reward)
-          .field("makespan_ms", env.makespan())
-          .field("loss", last_loss_)
-          .field("grad_norm", last_grad_norm_)
-          .field("decisions", static_cast<std::uint64_t>(decisions))
-          .field("steps_per_s",
-                 wall_s > 0.0 ? static_cast<double>(decisions) / wall_s : 0.0)
-          .field("skipped_updates",
-                 static_cast<std::uint64_t>(report.skipped_updates))
-          .field("rollbacks", static_cast<std::uint64_t>(report.rollbacks));
-      t_obs->sink()->write(row.str());
-    }
-    if ((ep + 1) % every == 0) {
-      last_good = nn::serialize_parameters(*net_);
-      if (!opts.checkpoint_dir.empty()) {
-        save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(ep + 1),
-                        ck_opts);
-      }
-    }
-    if (opts.verbose && (ep + 1) % opts.log_every == 0) {
-      const std::size_t tail =
-          std::min<std::size_t>(report.episode_rewards.size(),
-                                static_cast<std::size_t>(opts.log_every));
-      const double recent = util::mean(
-          {report.episode_rewards.data() + report.episode_rewards.size() -
-               tail,
-           tail});
-      util::log_info() << "episode " << (ep + 1) << "/" << opts.episodes
-                       << " reward(avg " << tail << ")=" << recent
-                       << " makespan=" << env.makespan();
-    }
-  }
-  if (!opts.checkpoint_dir.empty()) {
-    save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(opts.episodes),
-                    ck_opts);
-  }
-  report.updates = updates_;
-  if (!report.episode_rewards.empty()) {
-    // Empty when --resume found a run that already finished.
-    const std::size_t tail = std::max<std::size_t>(
-        1, report.episode_rewards.size() / 5);
-    report.final_mean_reward = util::mean(
-        {report.episode_rewards.data() + report.episode_rewards.size() - tail,
-         tail});
-  }
-  return report;
-}
-
-TrainReport A2CTrainer::train(VecEnv& envs, const TrainOptions& opts) {
-  if (cfg_.unroll > 0) {
-    throw std::invalid_argument(
-        "A2CTrainer: vectorized training requires unroll == 0 (mid-episode "
-        "unrolls would interleave partial episodes across envs)");
-  }
-  if (opts.async) return train_async(envs, opts);
-  if (envs.size() == 1) {
-    // The num_envs == 1 contract is bit-exactness with the sequential
-    // trainer; delegating is the strongest possible form of it.
-    return train(envs.env(0), opts);
-  }
-  TrainReport report;
-  report.best_makespan = std::numeric_limits<double>::infinity();
-  const std::size_t width = envs.size();
-
-  int start_ep = 0;
-  int divergent_streak = 0;
-  if (opts.resume && !opts.checkpoint_dir.empty()) {
-    CheckpointData ck;
-    if (load_checkpoint(opts.checkpoint_dir, *net_, ck)) {
-      apply_checkpoint_to_trainer(ck, "a2c", opts.seed, width, optimizer_,
-                                  sample_rng_);
-      start_ep = std::min(ck.progress.episode, opts.episodes);
-      updates_ = ck.progress.updates;
-      report.skipped_updates = ck.progress.skipped_updates;
-      report.rollbacks = ck.progress.rollbacks;
-      divergent_streak = ck.progress.divergent_streak;
-      if (opts.verbose) {
-        util::log_info() << "resumed from " << opts.checkpoint_dir
-                         << " at episode " << ck.progress.episode;
-      }
-    }
-  }
-  report.start_episode = start_ep;
-
-  std::string last_good = nn::serialize_parameters(*net_);
-  const int patience = std::max(1, opts.divergence_patience);
-  const int every = std::max(1, opts.checkpoint_every);
-  const int log_every = std::max(1, opts.log_every);
-  const CheckpointOptions ck_opts{opts.checkpoint_retain};
-  const auto make_ckpt = [&](int episode) {
-    CheckpointData d;
-    d.progress = {episode, updates_, report.skipped_updates, report.rollbacks,
-                  divergent_streak};
-    d.trainer = "a2c";
-    d.env_seed = opts.seed;
-    d.num_envs = width;
-    d.rngs = {{"sample", sample_rng_.state()}};
-    d.optimizer = optimizer_.state_rows();
-    return d;
-  };
-  // Divergence in episode units: a skipped group update advances the
-  // streak by the episodes it covered, so `divergence_patience` trips
-  // after the same number of bad episodes at any width.
-  const auto guarded = [&](bool applied, int episode_units) {
-    if (applied) {
-      divergent_streak = 0;
-      return;
-    }
-    ++report.skipped_updates;
-    divergent_streak += std::max(1, episode_units);
-    if (divergent_streak >= patience) {
-      rollback(last_good);
-      ++report.rollbacks;
-      divergent_streak = 0;
-    }
-  };
-
-  std::vector<EpisodeRollout> eps(width);
-
-  using obs_clock = std::chrono::steady_clock;
-  int ep = start_ep;
-  while (ep < opts.episodes) {
-    const int round =
-        std::min(static_cast<int>(width), opts.episodes - ep);
-    readys::obs::Telemetry* t_obs = readys::obs::telemetry();
-    const auto round_t0 = t_obs ? obs_clock::now() : obs_clock::time_point{};
-    std::vector<std::size_t> active;
-    active.reserve(static_cast<std::size_t>(round));
-    for (int e = 0; e < round; ++e) {
-      envs.reset_one(static_cast<std::size_t>(e),
-                     opts.seed + static_cast<std::uint64_t>(ep + e));
-      eps[static_cast<std::size_t>(e)] = EpisodeRollout{};
-      eps[static_cast<std::size_t>(e)].index = ep + e;
-      active.push_back(static_cast<std::size_t>(e));
-    }
-    // Lockstep rollout: one batched forward per round-step, actions
-    // sampled in ascending env order from the shared stream, envs
-    // dropping out of `active` as their episodes finish. The rollout
-    // records values only (NoGradGuard) — every update below re-forwards
-    // its own episodes, so no cross-episode graph is ever built.
-    {
-      tensor::NoGradGuard no_grad;
-      while (!active.empty()) {
-        const auto obs_batch = envs.observations(active);
-        const auto outs = net_->forward_batched(obs_batch);
-        std::vector<std::size_t> acts(active.size());
-        for (std::size_t k = 0; k < active.size(); ++k) {
-          acts[k] = select_action(outs[k], /*greedy=*/false, sample_rng_);
-          EpisodeRollout& rec = eps[active[k]];
-          rec.observations.push_back(*obs_batch[k]);
-          rec.actions.push_back(acts[k]);
-        }
-        const auto results = envs.step(active, acts);
-        std::vector<std::size_t> next;
-        next.reserve(active.size());
-        for (std::size_t k = 0; k < active.size(); ++k) {
-          EpisodeRollout& rec = eps[active[k]];
-          rec.rewards.push_back(results[k].reward);
-          rec.reward_sum += results[k].reward;
-          if (!results[k].done) next.push_back(active[k]);
-        }
-        active = std::move(next);
-      }
-    }
-    // Per-episode updates by default (opts.updates_per_round == 0): the
-    // sequential cadence, so a width-8 run performs the same number of
-    // gradient steps as a sequential one. updates_per_round >= 1 merges
-    // adjacent episodes into that many groups per round instead.
-    const int groups =
-        opts.updates_per_round <= 0
-            ? round
-            : std::min(round, opts.updates_per_round);
-    std::vector<double> ep_loss(static_cast<std::size_t>(round));
-    std::vector<double> ep_gnorm(static_cast<std::size_t>(round));
-    const int g_base = round / groups;
-    const int g_extra = round % groups;
-    std::size_t g_begin = 0;
-    for (int g = 0; g < groups; ++g) {
-      const std::size_t g_size =
-          static_cast<std::size_t>(g_base + (g < g_extra ? 1 : 0));
-      const std::size_t g_end = g_begin + g_size;
-      // Annealing follows the group's first episode index — with
-      // per-episode groups this is exactly the sequential schedule.
-      entropy_scale_ =
-          cfg_.entropy_decay
-              ? 1.0 - (static_cast<double>(ep) +
-                       static_cast<double>(g_begin)) /
-                          static_cast<double>(std::max(1, opts.episodes))
-              : 1.0;
-      guarded(update_group(eps, g_begin, g_end),
-              static_cast<int>(g_size));
-      for (std::size_t i = g_begin; i < g_end; ++i) {
-        ep_loss[i] = last_loss_;
-        ep_gnorm[i] = last_grad_norm_;
-      }
-      g_begin = g_end;
-    }
-
-    std::size_t round_decisions = 0;
-    for (int e = 0; e < round; ++e) {
-      const auto& env = envs.env(static_cast<std::size_t>(e));
-      report.episode_rewards.push_back(
-          eps[static_cast<std::size_t>(e)].reward_sum);
-      report.episode_makespans.push_back(env.makespan());
-      report.best_makespan = std::min(report.best_makespan, env.makespan());
-      round_decisions += env.decisions_this_episode();
-    }
-    if (t_obs != nullptr && t_obs->sink() != nullptr) {
-      const double wall_s =
-          std::chrono::duration<double>(obs_clock::now() - round_t0).count();
-      const double rate =
-          wall_s > 0.0 ? static_cast<double>(round_decisions) / wall_s : 0.0;
-      for (int e = 0; e < round; ++e) {
-        const auto& env = envs.env(static_cast<std::size_t>(e));
-        readys::obs::JsonObject row;
-        row.field("row", "episode")
-            .field("trainer", "a2c")
-            .field("envs", static_cast<std::uint64_t>(width))
-            .field("episode", ep + e + 1)
-            .field("reward", eps[static_cast<std::size_t>(e)].reward_sum)
-            .field("makespan_ms", env.makespan())
-            // The update that actually covered this episode — distinct
-            // per group, never one round-wide value fanned out.
-            .field("loss", ep_loss[static_cast<std::size_t>(e)])
-            .field("grad_norm", ep_gnorm[static_cast<std::size_t>(e)])
-            .field("decisions",
-                   static_cast<std::uint64_t>(env.decisions_this_episode()))
-            .field("steps_per_s", rate)
-            .field("skipped_updates",
-                   static_cast<std::uint64_t>(report.skipped_updates))
-            .field("rollbacks", static_cast<std::uint64_t>(report.rollbacks));
-        t_obs->sink()->write(row.str());
-      }
-    }
-    const int prev = ep;
-    ep += round;
-    if (ep / every != prev / every) {
-      last_good = nn::serialize_parameters(*net_);
-      if (!opts.checkpoint_dir.empty()) {
-        save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(ep), ck_opts);
-      }
-    }
-    if (opts.verbose && ep / log_every != prev / log_every) {
-      const std::size_t tail =
-          std::min<std::size_t>(report.episode_rewards.size(),
-                                static_cast<std::size_t>(log_every));
-      const double recent = util::mean(
-          {report.episode_rewards.data() + report.episode_rewards.size() -
-               tail,
-           tail});
-      util::log_info() << "episode " << ep << "/" << opts.episodes
-                       << " reward(avg " << tail << ")=" << recent
-                       << " makespan="
-                       << envs.env(static_cast<std::size_t>(round - 1))
-                              .makespan();
-    }
-  }
-  if (!opts.checkpoint_dir.empty()) {
-    save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(opts.episodes),
-                    ck_opts);
-  }
-  report.updates = updates_;
-  if (!report.episode_rewards.empty()) {
-    const std::size_t tail = std::max<std::size_t>(
-        1, report.episode_rewards.size() / 5);
-    report.final_mean_reward = util::mean(
-        {report.episode_rewards.data() + report.episode_rewards.size() - tail,
-         tail});
-  }
-  return report;
-}
-
-TrainReport A2CTrainer::train_async(VecEnv& envs, const TrainOptions& opts) {
-  TrainReport report;
-  report.best_makespan = std::numeric_limits<double>::infinity();
-  const std::size_t width = envs.size();
-
-  int start_ep = 0;
-  int divergent_streak = 0;
-  if (opts.resume && !opts.checkpoint_dir.empty()) {
-    CheckpointData ck;
-    if (load_checkpoint(opts.checkpoint_dir, *net_, ck)) {
-      apply_checkpoint_to_trainer(ck, "a2c", opts.seed, width, optimizer_,
-                                  sample_rng_);
-      start_ep = std::min(ck.progress.episode, opts.episodes);
-      updates_ = ck.progress.updates;
-      report.skipped_updates = ck.progress.skipped_updates;
-      report.rollbacks = ck.progress.rollbacks;
-      divergent_streak = ck.progress.divergent_streak;
-      if (opts.verbose) {
-        util::log_info() << "resumed from " << opts.checkpoint_dir
-                         << " at episode " << ck.progress.episode;
-      }
-    }
-  }
-  report.start_episode = start_ep;
-
-  std::string last_good = nn::serialize_parameters(*net_);
-  const int patience = std::max(1, opts.divergence_patience);
-  const int every = std::max(1, opts.checkpoint_every);
-  const int log_every = std::max(1, opts.log_every);
-  const CheckpointOptions ck_opts{opts.checkpoint_retain};
-  const auto make_ckpt = [&](int episode) {
-    CheckpointData d;
-    d.progress = {episode, updates_, report.skipped_updates, report.rollbacks,
-                  divergent_streak};
-    d.trainer = "a2c";
-    d.env_seed = opts.seed;
-    d.num_envs = width;
-    d.rngs = {{"sample", sample_rng_.state()}};
-    d.optimizer = optimizer_.state_rows();
-    return d;
-  };
-  const auto guarded = [&](bool applied, int episode_units) {
-    if (applied) {
-      divergent_streak = 0;
-      return;
-    }
-    ++report.skipped_updates;
-    divergent_streak += std::max(1, episode_units);
-    if (divergent_streak >= patience) {
-      rollback(last_good);
-      ++report.rollbacks;
-      divergent_streak = 0;
-    }
-  };
-
-  const int batch_size = std::max(1, opts.async_batch);
-
-  // Members outlive the locals below, so clear the mutex pointer on every
-  // exit path before the std::shared_mutex on this frame dies.
-  std::shared_mutex net_mutex;
-  struct MutexGuard {
-    A2CTrainer* t;
-    ~MutexGuard() { t->net_mutex_ = nullptr; }
-  } mutex_guard{this};
-  net_mutex_ = &net_mutex;
-
-  // Declaration order is the shutdown order in reverse: the pool's
-  // destructor joins the actor threads before the queue or the mutex
-  // they use can die.
-  EpisodeQueue queue(std::max<std::size_t>(
-      opts.async_queue > 0 ? static_cast<std::size_t>(opts.async_queue)
-                           : 2 * width,
-      static_cast<std::size_t>(batch_size)));
-  ActorPool::Options pool_opts;
-  pool_opts.first_episode = start_ep;
-  pool_opts.episodes = opts.episodes;
-  pool_opts.actors = opts.async_actors > 0
-                         ? static_cast<std::size_t>(opts.async_actors)
-                         : width;
-  pool_opts.env_seed = opts.seed;
-  pool_opts.action_seed = cfg_.seed ^ 0xA3EC647659359ACDULL;
-  pool_opts.strict = opts.async_strict;
-  // Per-actor policy replicas, synced from the learner net at every
-  // episode start: one trajectory acts under one consistent set of
-  // weights (IMPALA-style). Decisions that straddle weight updates bias
-  // A2C badly enough to collapse learning — see the async cells in
-  // BENCH_train_quality.json for the measured cliff.
-  const std::size_t n_actors =
-      std::max<std::size_t>(1, std::min(pool_opts.actors, width));
-  std::vector<std::unique_ptr<PolicyNet>> replicas;
-  std::vector<std::vector<tensor::Var>> replica_params;
-  replicas.reserve(n_actors);
-  const std::vector<tensor::Var> learner_params = net_->parameters();
-  for (std::size_t s = 0; s < n_actors; ++s) {
-    replicas.push_back(std::make_unique<PolicyNet>(
-        net_->node_features(), net_->resource_features(), cfg_));
-    replica_params.push_back(replicas.back()->parameters());
-  }
-  pool_opts.on_episode_start = [&](std::size_t slot, int) {
-    // Shared lock: the copy must not observe a half-applied Adam step.
-    std::shared_lock lock(*net_mutex_);
-    auto& params = replica_params[slot];
-    for (std::size_t p = 0; p < params.size(); ++p) {
-      params[p].mutable_value() = learner_params[p].value();
-    }
-  };
-  // Strict: exactly one batch claimable, so actors are parked while the
-  // learner updates. Free: one extra in-flight episode per actor keeps
-  // them busy through the update, bounding weight staleness at
-  // batch + actors episodes (unbounded run-ahead collapses learning).
-  const int window =
-      opts.async_strict
-          ? batch_size
-          : batch_size + static_cast<int>(pool_opts.actors);
-  pool_opts.window = window;
-  ActorPool pool(
-      envs, queue,
-      [&replicas](std::size_t slot, const Observation& obs, util::Rng& rng) {
-        // The replica is slot-private: no lock needed per decision.
-        tensor::NoGradGuard no_grad;
-        const PolicyNet::Output out = replicas[slot]->forward(obs);
-        ActorPool::Act act;
-        act.action = sample_categorical(out.probs.value(), rng);
-        act.log_prob = out.log_probs.value()[act.action];
-        act.value = out.value.value().item();
-        return act;
-      },
-      pool_opts);
-
-  using obs_clock = std::chrono::steady_clock;
-  std::vector<EpisodeRollout> batch;
-  int consumed = start_ep;
-  bool drained_ok = true;
-  while (consumed < opts.episodes) {
-    const int want = std::min(batch_size, opts.episodes - consumed);
-    readys::obs::Telemetry* t_obs = readys::obs::telemetry();
-    const auto batch_t0 = t_obs ? obs_clock::now() : obs_clock::time_point{};
-    batch.clear();
-    EpisodeRollout rec;
-    while (static_cast<int>(batch.size()) < want) {
-      if (!queue.pop(rec)) {
-        drained_ok = false;
-        break;
-      }
-      batch.push_back(std::move(rec));
-    }
-    if (!drained_ok) break;
-    // Arrival order is thread-timing; episode order is not. Sorting
-    // makes the learner's view (and, in strict mode, the whole run) a
-    // function of episode indices alone.
-    std::sort(batch.begin(), batch.end(),
-              [](const EpisodeRollout& a, const EpisodeRollout& b) {
-                return a.index < b.index;
-              });
-    // Per-episode update cadence inside the drained batch: async_batch
-    // sets how many episodes move through the queue per learner pass
-    // (communication granularity), not how many share one gradient step
-    // — the cadence bugfix this PR exists for applies here too. Free
-    // mode's trajectories come from stale weights, so their updates get
-    // the truncated importance correction; strict mode's staleness is
-    // the same 0..batch-1 in-batch lag the lockstep path has, and stays
-    // uncorrected for exact parity with it.
-    const bool off_policy = !opts.async_strict;
-    std::vector<double> ep_loss(batch.size());
-    std::vector<double> ep_gnorm(batch.size());
-    for (std::size_t g = 0; g < batch.size(); ++g) {
-      entropy_scale_ =
-          cfg_.entropy_decay
-              ? 1.0 - static_cast<double>(consumed + static_cast<int>(g)) /
-                          static_cast<double>(std::max(1, opts.episodes))
-              : 1.0;
-      guarded(update_group(batch, g, g + 1, off_policy), 1);
-      ep_loss[g] = last_loss_;
-      ep_gnorm[g] = last_grad_norm_;
-    }
-
-    std::size_t batch_decisions = 0;
-    for (const EpisodeRollout& e : batch) batch_decisions += e.decisions;
-    for (const EpisodeRollout& e : batch) {
-      report.episode_rewards.push_back(e.reward_sum);
-      report.episode_makespans.push_back(e.makespan);
-      report.best_makespan = std::min(report.best_makespan, e.makespan);
-    }
-    if (t_obs != nullptr && t_obs->sink() != nullptr) {
-      const double wall_s =
-          std::chrono::duration<double>(obs_clock::now() - batch_t0).count();
-      const double rate =
-          wall_s > 0.0 ? static_cast<double>(batch_decisions) / wall_s : 0.0;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const EpisodeRollout& e = batch[i];
-        readys::obs::JsonObject row;
-        row.field("row", "episode")
-            .field("trainer", "a2c")
-            .field("envs", static_cast<std::uint64_t>(width))
-            .field("async", true)
-            .field("episode", e.index + 1)
-            .field("reward", e.reward_sum)
-            .field("makespan_ms", e.makespan)
-            .field("loss", ep_loss[i])
-            .field("grad_norm", ep_gnorm[i])
-            .field("decisions", static_cast<std::uint64_t>(e.decisions))
-            .field("steps_per_s", rate)
-            .field("skipped_updates",
-                   static_cast<std::uint64_t>(report.skipped_updates))
-            .field("rollbacks", static_cast<std::uint64_t>(report.rollbacks));
-        t_obs->sink()->write(row.str());
-      }
-    }
-    const int prev = consumed;
-    consumed += static_cast<int>(batch.size());
-    // Un-gate the next window only after this update: in strict mode its
-    // actors then see exactly these weights; in free mode the slack in
-    // `window` is what keeps them busy while this thread was updating.
-    pool.release_below(consumed + window);
-    if (consumed / every != prev / every) {
-      last_good = nn::serialize_parameters(*net_);
-      if (!opts.checkpoint_dir.empty()) {
-        save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(consumed),
-                        ck_opts);
-      }
-    }
-    if (opts.verbose && consumed / log_every != prev / log_every) {
-      const std::size_t tail =
-          std::min<std::size_t>(report.episode_rewards.size(),
-                                static_cast<std::size_t>(log_every));
-      const double recent = util::mean(
-          {report.episode_rewards.data() + report.episode_rewards.size() -
-               tail,
-           tail});
-      util::log_info() << "episode " << consumed << "/" << opts.episodes
-                       << " reward(avg " << tail << ")=" << recent
-                       << " makespan=" << batch.back().makespan;
-    }
-  }
-  pool.join();
-  if (auto err = queue.error()) std::rethrow_exception(err);
-  if (!drained_ok) {
-    throw std::runtime_error(
-        "A2CTrainer: async episode queue closed before the run finished");
-  }
-  if (!opts.checkpoint_dir.empty()) {
-    save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(opts.episodes),
-                    ck_opts);
-  }
-  report.updates = updates_;
-  if (!report.episode_rewards.empty()) {
-    const std::size_t tail = std::max<std::size_t>(
-        1, report.episode_rewards.size() / 5);
-    report.final_mean_reward = util::mean(
-        {report.episode_rewards.data() + report.episode_rewards.size() - tail,
-         tail});
-  }
-  return report;
-}
-
-std::vector<double> A2CTrainer::evaluate(SchedulingEnv& env, int episodes,
-                                         std::uint64_t seed_base,
-                                         bool greedy) {
-  // Evaluation must be a pure function of (policy weights, seed_base):
-  // drawing from the shared training sample_rng_ would make the result
-  // depend on how many actions were sampled during training before the
-  // call, so sampled (non-greedy) evaluation uses its own stream.
-  util::Rng eval_rng(seed_base ^ 0xE7037ED1A0B428DBULL);
-  std::vector<double> makespans;
-  makespans.reserve(static_cast<std::size_t>(episodes));
-  for (int ep = 0; ep < episodes; ++ep) {
-    env.reset(seed_base + static_cast<std::uint64_t>(ep));
-    bool done = env.done();
-    while (!done) {
-      const PolicyNet::Output out = net_->forward(env.observation());
-      const std::size_t a = select_action(out, greedy, eval_rng);
-      done = env.step(a).done;
-    }
-    makespans.push_back(env.makespan());
-  }
-  return makespans;
 }
 
 }  // namespace readys::rl

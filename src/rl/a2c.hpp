@@ -1,85 +1,24 @@
 #pragma once
 
-#include <limits>
-#include <shared_mutex>
-#include <string>
 #include <vector>
 
-#include "nn/optim.hpp"
-#include "rl/async.hpp"
-#include "rl/config.hpp"
-#include "rl/env.hpp"
-#include "rl/policy_net.hpp"
-#include "rl/vec_env.hpp"
+#include "rl/train_loop.hpp"
 
 namespace readys::rl {
 
-/// Applies the configured squash/clip (see AgentConfig) to a terminal
-/// reward. Shared by the A2C and PPO trainers. Throws std::domain_error
-/// on a non-finite reward — a NaN here means the simulator or the HEFT
-/// reference is corrupt, and squashing/clipping would silently launder
-/// it into a plausible-looking value.
-double shape_reward(const AgentConfig& cfg, double reward);
-
-/// Summary of one training run.
-struct TrainReport {
-  std::vector<double> episode_rewards;
-  std::vector<double> episode_makespans;
-  double best_makespan = 0.0;
-  double final_mean_reward = 0.0;  ///< mean reward over the last 20%
-  std::size_t updates = 0;
-  /// Updates skipped because the loss or a gradient went NaN/Inf (the
-  /// poisoned batch is dropped; weights and Adam moments stay clean).
-  std::size_t skipped_updates = 0;
-  /// Times the weights were rolled back to the last good snapshot after
-  /// `TrainOptions::divergence_patience` consecutive divergent updates.
-  std::size_t rollbacks = 0;
-  /// First episode index actually trained (non-zero after --resume).
-  int start_episode = 0;
-};
-
 /// Synchronous advantage actor-critic (A2C) on the scheduling MDP.
 ///
-/// Follows §IV-A of the paper: n-step unrolls, advantage = (return −
-/// V(s)), entropy regularization, critic loss scaled by value_coef, a
-/// single Adam optimizer over actor and critic (they share the GCN
-/// trunk).
-class A2CTrainer {
+/// Follows §IV-A of the paper: advantage = (return − V(s)), entropy
+/// regularization, critic loss scaled by value_coef, a single Adam
+/// optimizer over actor and critic (they share the GCN trunk). One
+/// update per episode in episode order at any VecEnv width (or per
+/// `unroll`-step segment of it), so the entropy schedule, divergence
+/// patience and checkpoint cadence mean the same thing at any width.
+/// In async mode (TrainOptions::async) the training loop hands over
+/// `async_batch` episodes at a time; the updates stay per episode.
+class A2CTrainer final : public Learner {
  public:
   A2CTrainer(PolicyNet& net, const AgentConfig& cfg);
-
-  /// Trains in-place on `env` for opts.episodes episodes.
-  TrainReport train(SchedulingEnv& env, const TrainOptions& opts);
-
-  /// Vectorized training: rounds of up to envs.size() episodes run in
-  /// lockstep (episode ep + e on env e, seeded opts.seed + ep + e), the
-  /// rollout forwards batched through PolicyNet::forward_batched under
-  /// tensor::NoGradGuard, then the round's episodes re-forwarded and
-  /// updated in opts.updates_per_round groups (default: one update per
-  /// episode — the sequential cadence, so entropy decay, divergence
-  /// patience, and checkpoint-every all stay in episode units and mean
-  /// the same thing at any width). With envs.size() == 1 this delegates
-  /// to the sequential train() (bit-for-bit identical). With opts.async
-  /// it switches to the actor–learner mode: ActorPool threads run
-  /// episodes (reseeded per episode index) into an EpisodeQueue while
-  /// this thread drains opts.async_batch episodes per update; weights
-  /// are guarded by a shared_mutex (actors take shared forward locks,
-  /// the optimizer step the exclusive lock). Requires cfg.unroll == 0 —
-  /// mid-episode unrolls would interleave gradients across envs — and
-  /// throws std::invalid_argument otherwise.
-  TrainReport train(VecEnv& envs, const TrainOptions& opts);
-
-  /// Rolls out the current policy without learning; returns makespans.
-  /// `greedy` picks argmax actions, otherwise samples from π.
-  std::vector<double> evaluate(SchedulingEnv& env, int episodes,
-                               std::uint64_t seed_base, bool greedy);
-
-  /// Samples (or argmaxes) an action from a policy output.
-  std::size_t select_action(const PolicyNet::Output& out, bool greedy,
-                            util::Rng& rng) const;
-
-  /// Applies the configured squash/clip to a terminal reward.
-  double shape_reward(double reward) const;
 
  private:
   struct StepRecord {
@@ -88,63 +27,31 @@ class A2CTrainer {
     tensor::Var entropy;   // 1x1
     double reward = 0.0;
     bool done = false;
-    /// Truncated importance weight min(1, π(a|s)/μ(a|s)) applied to this
-    /// step's policy-gradient term; exactly 1.0 on every on-policy path
-    /// (x * 1.0 is an IEEE identity, so those paths stay bit-identical).
-    /// Only async free mode sets μ ≠ π: its actors act under weights up
-    /// to `window` updates stale, and uncorrected that bias collapses
-    /// learning (see BENCH_train_quality.json).
-    double is_weight = 1.0;
   };
 
-  /// One gradient step from a batch of transitions; `bootstrap` is
-  /// V(s_next) of the last (non-terminal) state. Returns false when the
-  /// update was skipped because the loss or gradients were non-finite
-  /// (the weights are left untouched).
-  bool update(const std::vector<StepRecord>& batch, double bootstrap);
+  int episodes_per_learn(const TrainOptions& opts,
+                         std::size_t width) const override;
+  std::size_t learn(std::vector<EpisodeRollout>& eps,
+                    std::vector<UpdateStats>& stats) override;
+  double reported_reward(const EpisodeRollout& e) const override {
+    return e.reward_sum;
+  }
 
-  /// update() with the per-step loss terms stacked into (batch x 1)
-  /// columns (concat_rows), so the loss graph is O(1) nodes instead of
-  /// O(batch) — the assembly chain dominates update cost on multi-env
-  /// rounds. Identical returns/advantage semantics; gradients match
-  /// update() only up to floating-point regrouping, so the single-env
-  /// paths (which promise bit-exactness) never use it.
-  bool update_batched(const std::vector<StepRecord>& batch);
+  /// Re-forwards steps [begin, end) of `e` with gradients on (one
+  /// forward_batched over the segment) and applies one update over
+  /// them. Rewards are shaped here. `bootstrap` is V of the step after
+  /// the segment (0 when the segment ends the episode).
+  bool update_segment(const EpisodeRollout& e, std::size_t begin,
+                      std::size_t end, double bootstrap,
+                      double entropy_scale);
 
-  /// Shared tail of the update variants: backward, gradient clipping,
-  /// the divergence guard, and the optimizer step.
-  bool apply_loss(const tensor::Var& loss);
-
-  /// Restores `last_good` into the net and resets the optimizer (Adam
-  /// moments may reference the divergent trajectory). Takes the
-  /// exclusive net lock when training asynchronously.
-  void rollback(const std::string& last_good);
-
-  /// Re-forwards episodes [begin, end) of `eps` through forward_batched
-  /// (each episode's steps contiguous, episode-major) and applies one
-  /// batched update over their transitions. Rewards are shaped here.
-  /// `off_policy` enables the truncated importance weights (requires the
-  /// rollouts to carry behavior log_probs — async actors record them).
-  bool update_group(const std::vector<EpisodeRollout>& eps,
-                    std::size_t begin, std::size_t end,
-                    bool off_policy = false);
-
-  /// The async actor–learner loop behind train(VecEnv&) + opts.async.
-  TrainReport train_async(VecEnv& envs, const TrainOptions& opts);
-
-  PolicyNet* net_;
-  AgentConfig cfg_;
-  nn::Adam optimizer_;
-  util::Rng sample_rng_;
-  std::size_t updates_ = 0;
-  double entropy_scale_ = 1.0;  ///< annealing factor (see entropy_decay)
-  // Last applied update, for the telemetry episode rows (NaN until the
-  // first update; a skipped update records what was rejected).
-  double last_loss_ = std::numeric_limits<double>::quiet_NaN();
-  double last_grad_norm_ = std::numeric_limits<double>::quiet_NaN();
-  /// Set only inside train_async: actors hold it shared around forwards;
-  /// the optimizer step and rollback take it exclusively.
-  std::shared_mutex* net_mutex_ = nullptr;
+  /// One gradient step from a batch of transitions, with the per-step
+  /// loss terms stacked into (batch x 1) columns (concat_rows) so the
+  /// loss graph is O(1) nodes instead of O(batch). Returns false when
+  /// the update was skipped because the loss or gradients were
+  /// non-finite (the weights are left untouched).
+  bool update_batched(const std::vector<StepRecord>& batch, double bootstrap,
+                      double entropy_scale);
 };
 
 }  // namespace readys::rl

@@ -16,9 +16,9 @@ TrainReport ReadysAgent::train(const dag::TaskGraph& graph,
                                const sim::Platform& platform,
                                const sim::CostModel& costs,
                                const TrainOptions& opts) {
-  SchedulingEnv env(graph, platform, costs,
-                    {opts.sigma, config_.window, opts.seed});
-  return trainer_->train(env, opts);
+  VecEnv envs(graph, platform, costs, {opts.sigma, config_.window, opts.seed},
+              1);
+  return trainer_->train(envs, opts);
 }
 
 std::vector<double> ReadysAgent::evaluate(const dag::TaskGraph& graph,

@@ -84,7 +84,7 @@ ActorPool::ActorPool(VecEnv& envs, EpisodeQueue& queue, Policy policy,
       policy_(std::move(policy)),
       opts_(opts),
       next_(opts.first_episode),
-      released_(opts.first_episode + std::max(1, opts.window)),
+      released_(opts.first_episode),
       pool_(std::max<std::size_t>(
           1, std::min(opts.actors ? opts.actors : envs.size(),
                       envs.size()))) {

@@ -36,10 +36,11 @@ struct EpisodeRollout {
   std::size_t decisions = 0;
 };
 
-/// Samples an index from a 1xN probability row — the same cumulative
-/// scan (with the same numerical-slack fallback) as
-/// A2CTrainer::select_action, but over a caller-owned stream so actors
-/// can draw from per-episode RNGs.
+/// Samples an index from a 1xN probability row by cumulative scan (the
+/// last index absorbs numerical slack). The one categorical sampler of
+/// the trainers: lockstep rollouts draw from the shared stream, async
+/// actors from per-episode streams, sampled evaluation from a per-call
+/// stream.
 std::size_t sample_categorical(const tensor::Tensor& probs, util::Rng& rng);
 
 /// Bounded multi-producer single-consumer queue of finished episodes.
@@ -87,15 +88,10 @@ class EpisodeQueue {
 /// env_seed + index and the action stream is derived from
 /// (action_seed, index), so a trajectory is a pure function of (episode
 /// index, policy weights snapshotted at episode start) — never of which
-/// thread ran it.
-/// Both modes gate claims to a released window of `window` indices that
-/// the learner advances after each update — the window bounds how stale
-/// the acting weights can get (unbounded run-ahead demonstrably
-/// collapses A2C learning; see BENCH_train_quality.json). Strict mode
-/// sets window = batch so every actor is parked while the weights
-/// change, making weights-at-act-time reproducible; free mode adds
-/// ~one in-flight episode per actor on top so actors keep working
-/// through the update at the cost of that bounded staleness.
+/// thread ran it. Claims are gated: nothing is claimable until the
+/// learner calls release_below(), and the training loop releases only
+/// the episodes it is about to learn from, so every actor is parked
+/// while the weights change and weights-at-act-time are reproducible.
 class ActorPool {
  public:
   /// What the policy callback returns for one decision.
@@ -116,8 +112,6 @@ class ActorPool {
     std::size_t actors = 1;
     std::uint64_t env_seed = 0;     ///< episode i reseeds env_seed + i
     std::uint64_t action_seed = 0;  ///< per-episode stream base
-    bool strict = false;  ///< park actors during updates (determinism)
-    int window = 1;       ///< claimable look-ahead past the last release
     /// Called right after a claim, before the episode runs — the
     /// trainers snapshot the learner weights into the slot's replica
     /// here, so one trajectory acts under one consistent policy (a
@@ -137,8 +131,8 @@ class ActorPool {
   ActorPool(const ActorPool&) = delete;
   ActorPool& operator=(const ActorPool&) = delete;
 
-  /// Strict mode: allows claims of indices < bound. No-op when the bound
-  /// does not advance; free mode releases everything up front.
+  /// Allows claims of indices < bound. No-op when the bound does not
+  /// advance.
   void release_below(int bound);
 
   /// Waits for the actors to finish naturally (all indices claimed and

@@ -36,15 +36,11 @@ struct CheckpointData {
   CheckpointState progress;
   std::string trainer;         ///< "a2c" | "ppo" (resume cross-checks it)
   std::uint64_t env_seed = 0;  ///< TrainOptions::seed driving env reseeds
-  std::size_t num_envs = 1;    ///< VecEnv width (1 = sequential trainer)
+  std::size_t num_envs = 1;    ///< VecEnv width
   /// Named trainer RNG streams (e.g. {"sample", ...}), via Rng::state().
   std::vector<std::pair<std::string, util::Rng::State>> rngs;
   /// Opaque optimizer section from nn::Optimizer::state_rows().
   std::vector<std::string> optimizer;
-  /// Set by load_checkpoint when the file was a legacy v1 checkpoint:
-  /// weights and episode/updates were migrated, `rngs` and `optimizer`
-  /// are empty and the caller must warn that they start fresh.
-  bool migrated_v1 = false;
 };
 
 struct CheckpointOptions {
@@ -54,7 +50,8 @@ struct CheckpointOptions {
   int retain = 3;
 };
 
-/// Path of the legacy single-file v1 checkpoint inside `dir`.
+/// Path of the legacy single-file v1 checkpoint inside `dir` (only
+/// detected, to reject it by name).
 std::string checkpoint_path(const std::string& dir);
 
 /// Path of the retained v2 checkpoint with the given sequence index.
@@ -90,11 +87,11 @@ void save_checkpoint(const std::string& dir, const nn::Module& module,
 
 /// Restores the newest *valid* checkpoint in `dir`: the `LATEST` target
 /// first, then remaining retained files newest-first (each corrupt
-/// candidate skipped counts into the ckpt.fallbacks metric), finally a
-/// legacy v1 `checkpoint.txt`, which is migrated (weights + progress,
-/// fresh optimizer/RNG, `migrated_v1` set, warning logged). Returns
+/// candidate skipped counts into the ckpt.fallbacks metric). Returns
 /// false — touching nothing — when no checkpoint exists at all; throws
-/// std::runtime_error when files exist but every one is corrupt.
+/// std::runtime_error when files exist but every one is corrupt, or
+/// when the only checkpoint is a legacy v1 `checkpoint.txt` (the error
+/// names the v1 format; v1 files are not migrated).
 bool load_checkpoint(const std::string& dir, nn::Module& module,
                      CheckpointData& data);
 
@@ -103,8 +100,7 @@ bool load_checkpoint(const std::string& dir, nn::Module& module,
 /// std::runtime_error when the checkpoint was written by a different
 /// trainer (resuming a2c from a ppo file silently trains garbage); logs
 /// a warning — and continues with fresh state — when the seed or env
-/// width differs (resume works, bit-identity does not) or when the file
-/// was a migrated v1 checkpoint carrying no optimizer/RNG state.
+/// width differs (resume works, bit-identity does not).
 void apply_checkpoint_to_trainer(const CheckpointData& data,
                                  const std::string& trainer,
                                  std::uint64_t env_seed, std::size_t num_envs,

@@ -28,8 +28,11 @@ struct AgentConfig {
   bool entropy_decay = true;
   double value_coef = 0.5;    ///< baseline (critic) loss scaling
   /// Decisions per gradient update. 0 (default) updates once per episode
-  /// with true Monte-Carlo returns. With the paper's terminal-only reward
-  /// a mid-episode batch carries no environment signal — its targets are
+  /// with true Monte-Carlo returns. A positive value splits each finished
+  /// episode into segments of at most `unroll` decisions, one update
+  /// each, bootstrapped from V of the next segment's first state under
+  /// the current weights. With the paper's terminal-only reward a
+  /// mid-episode segment carries no environment signal — its targets are
   /// pure critic bootstrap — so n-step unrolls (the paper's 20..80 grid)
   /// destabilize training here; they remain available for experimenting
   /// with denser rewards.
@@ -90,44 +93,27 @@ struct TrainOptions {
   /// restart.
   bool resume = false;
   /// After this many consecutive divergent (NaN/Inf loss or gradient)
-  /// updates, roll the weights back to the last good snapshot and reset
-  /// the optimizer. Divergent updates are always skipped, never applied.
-  /// The multi-env train() overloads count this (and `checkpoint_every`)
-  /// in episode units, so the knobs mean the same thing at any num_envs.
+  /// updates, roll the weights back to the last good snapshot (refreshed
+  /// at every checkpoint boundary) and reset the optimizer. Divergent
+  /// updates are always skipped, never applied. Like `checkpoint_every`
+  /// it means the same thing at any num_envs: A2C updates once per
+  /// episode at every width.
   int divergence_patience = 3;
 
-  // --- multi-env update cadence (vec train() overloads only) ---
-  /// Gradient updates per round of `num_envs` lockstep episodes. 0 (the
-  /// default) performs one update per episode — the sequential cadence,
-  /// invariant to num_envs. Values >= 1 coarsen the cadence (1 restores
-  /// the old one-update-per-round behavior that collapsed learning; see
-  /// BENCH_train_quality.json). Clamped to the round width.
-  int updates_per_round = 0;
-
-  // --- async actor–learner (vec train() overloads only) ---
+  // --- async actor–learner ---
   /// Decouple acting from learning: actor threads run whole episodes on
-  /// their own env (reseeded per episode from `seed` + episode index) and
-  /// feed a bounded queue; the learner thread drains `async_batch`
-  /// episodes at a time and updates the shared policy under a
-  /// shared_mutex (actors take shared forward locks, the optimizer step
-  /// takes the exclusive lock). Episode-indexed seeding keeps every
-  /// trajectory a pure function of (episode index, weights at act time).
+  /// their own env slot (reseeded per episode from `seed` + episode
+  /// index) under a policy replica synced at episode start, and the
+  /// learner takes `async_batch` finished episodes at a time. Actors only
+  /// run the episodes the learner has released, so they are parked while
+  /// the weights change and a run is bit-reproducible for any actor count.
   bool async = false;
   /// Actor thread count; 0 means one per env. Clamped to num_envs (each
   /// actor owns one VecEnv slot exclusively).
   int async_actors = 0;
-  /// Queue capacity in episodes; 0 means 2 * num_envs. Clamped up to
-  /// async_batch so the learner can always assemble a full batch.
-  int async_queue = 0;
-  /// Episodes the learner drains per update. 1 matches the sequential
-  /// cadence exactly (PPO instead always drains its rollout_episodes).
+  /// Episodes the learner takes per pass (A2C still updates once per
+  /// episode; PPO always takes its rollout_episodes).
   int async_batch = 1;
-  /// Deterministic test mode: actors only start episodes inside a
-  /// released window of `async_batch` indices, and the learner sorts each
-  /// drained batch by episode index before updating — so weights at act
-  /// time, batch composition, and batch order are all run-to-run
-  /// reproducible for any actor count (at the cost of barrier stalls).
-  bool async_strict = false;
 };
 
 }  // namespace readys::rl

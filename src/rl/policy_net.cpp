@@ -95,9 +95,8 @@ std::vector<PolicyNet::Output> PolicyNet::forward_batched(
     throw std::invalid_argument("PolicyNet::forward_batched: empty batch");
   }
   if (batch.size() == 1) {
-    // Delegating keeps single-env training structurally identical to the
-    // sequential path: same graph shape, same backward accumulation
-    // order, hence bit-exact trajectories.
+    // Delegating gives a batch of one the per-observation graph: same
+    // shape, same backward accumulation order.
     return {forward(*batch.front())};
   }
   readys::obs::Telemetry* t = readys::obs::telemetry();

@@ -43,8 +43,7 @@ class PolicyNet : public nn::Module {
   /// outs[g] matches forward(*batch[g]) bit-for-bit in value (the ops
   /// replicate the per-graph arithmetic exactly); gradients agree to
   /// floating-point accumulation order (≤1e-10 in practice). A batch of
-  /// one delegates to forward(), so single-env training is structurally
-  /// identical to the sequential path, backward included.
+  /// one delegates to forward(): same graph, backward included.
   std::vector<Output> forward_batched(
       const std::vector<const Observation*>& batch) const;
 

@@ -1,67 +1,55 @@
 #include "rl/ppo.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
 
-#include "nn/serialize.hpp"
 #include "obs/obs.hpp"
-#include "rl/checkpoint.hpp"
 #include "tensor/ops.hpp"
-#include "util/logging.hpp"
-#include "util/stats.hpp"
 
 namespace readys::rl {
 
 PpoTrainer::PpoTrainer(PolicyNet& net, const AgentConfig& cfg, PpoConfig ppo)
-    : net_(&net),
-      cfg_(cfg),
-      ppo_(ppo),
-      optimizer_(net.parameters(), cfg.lr),
-      rng_(cfg.seed ^ 0xC2B2AE3D27D4EB4FULL) {}
+    : Learner(net, cfg, "ppo", 0xC2B2AE3D27D4EB4FULL), ppo_(ppo) {}
 
-std::size_t PpoTrainer::sample(const tensor::Tensor& probs) {
-  const double u = rng_.uniform();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    acc += probs[i];
-    if (u < acc) return i;
-  }
-  return probs.size() - 1;
+int PpoTrainer::episodes_per_learn(const TrainOptions&, std::size_t) const {
+  return ppo_.rollout_episodes;
 }
 
-void PpoTrainer::rollback(const std::string& last_good) {
-  std::unique_lock<std::shared_mutex> lock;
-  if (net_mutex_ != nullptr) {
-    lock = std::unique_lock(*net_mutex_);
-  }
-  nn::deserialize_parameters(*net_, last_good);
-  // Fresh optimizer: the moment estimates were built on the divergent
-  // trajectory and would steer the restored weights right back into it.
-  optimizer_ = nn::Adam(net_->parameters(), cfg_.lr);
+double PpoTrainer::reported_reward(const EpisodeRollout& e) const {
+  return e.rewards.empty() ? 0.0 : shape_reward(e.rewards.back());
 }
 
-void PpoTrainer::optimize(std::vector<Step>& steps, TrainReport& report,
-                          const std::string& last_good, int patience,
-                          int& divergent_streak, bool batched) {
+std::size_t PpoTrainer::learn(std::vector<EpisodeRollout>& eps,
+                              std::vector<UpdateStats>&) {
+  std::vector<Step> steps;
+  for (EpisodeRollout& e : eps) {
+    const std::size_t n = e.observations.size();
+    const std::size_t first = steps.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      Step s;
+      s.obs = std::move(e.observations[i]);
+      s.action = e.actions[i];
+      s.old_log_prob = e.log_probs[i];
+      s.old_value = e.values[i];
+      steps.push_back(std::move(s));
+    }
+    // Monte-Carlo returns: terminal-only reward discounted backwards.
+    const double reward = reported_reward(e);
+    double running = 0.0;
+    for (std::size_t i = n; i-- > 0;) {
+      running = (i + 1 == n) ? reward : cfg_.gamma * running;
+      steps[first + i].ret = running;
+    }
+  }
+  optimize(steps);
+  // The round's minibatch updates each mix shuffled steps of every
+  // episode, so no one update covers an episode: its stats stay null.
+  return 1;
+}
+
+void PpoTrainer::optimize(std::vector<Step>& steps) {
   readys::obs::Telemetry* t_obs = readys::obs::telemetry();
   readys::obs::Span round_span("rl/ppo_optimize", "train",
                                t_obs ? &t_obs->update_us : nullptr);
-  // Async mode: actors forward-read the weights under shared locks, so
-  // only the step (and rollback) — the value writers — take the
-  // exclusive lock; backward/clipping touch gradients, not values.
-  const auto locked_step = [&] {
-    if (net_mutex_ != nullptr) {
-      std::unique_lock lock(*net_mutex_);
-      optimizer_.step();
-      net_->bump_weight_version();
-    } else {
-      optimizer_.step();
-      net_->bump_weight_version();
-    }
-  };
   for (int epoch = 0; epoch < ppo_.epochs; ++epoch) {
     rng_.shuffle(steps);
     for (std::size_t begin = 0; begin < steps.size();
@@ -69,722 +57,60 @@ void PpoTrainer::optimize(std::vector<Step>& steps, TrainReport& report,
       const std::size_t end = std::min(
           steps.size(), begin + static_cast<std::size_t>(ppo_.minibatch));
       const std::size_t m = end - begin;
-      tensor::Var loss;
-      if (batched) {
-        // One batched forward for the minibatch, then the loss terms
-        // stacked into (m x 1) columns so the assembly graph is O(1)
-        // nodes instead of ~10 per step. Clip decisions are still made
-        // analytically per step on the ratio values, exactly like the
-        // per-step path; gradients match it up to floating-point
-        // regrouping, which is why width-1 training (bit-exact contract)
-        // keeps batched == false.
-        std::vector<const Observation*> mb;
-        mb.reserve(m);
-        for (std::size_t i = begin; i < end; ++i) mb.push_back(&steps[i].obs);
-        const auto outs = net_->forward_batched(mb);
-        std::vector<tensor::Var> lps, vals, ents;
-        lps.reserve(m);
-        vals.reserve(m);
-        ents.reserve(m);
-        tensor::Tensor old_lp(m, 1);
-        tensor::Tensor rets(m, 1);
-        for (std::size_t i = 0; i < m; ++i) {
-          const Step& s = steps[begin + i];
-          lps.push_back(tensor::pick(outs[i].log_probs, 0, s.action));
-          vals.push_back(outs[i].value);
-          ents.push_back(tensor::entropy_row(outs[i].probs));
-          old_lp.at(i, 0) = s.old_log_prob;
-          rets.at(i, 0) = s.ret;
-        }
-        const tensor::Var ratio = tensor::exp_op(
-            tensor::sub(tensor::concat_rows(lps),
-                        tensor::Var(std::move(old_lp))));
-        tensor::Tensor coef(m, 1);
-        double clipped_sum = 0.0;
-        for (std::size_t i = 0; i < m; ++i) {
-          const Step& s = steps[begin + i];
-          const double advantage = s.ret - s.old_value;
-          const double r = ratio.value().at(i, 0);
-          const bool clipped =
-              (advantage >= 0.0 && r > 1.0 + ppo_.clip) ||
-              (advantage < 0.0 && r < 1.0 - ppo_.clip);
-          if (clipped) {
-            // Constant contribution: the clipped branch carries no
-            // gradient, so it folds into a scalar offset.
-            clipped_sum +=
-                std::clamp(r, 1.0 - ppo_.clip, 1.0 + ppo_.clip) * advantage;
-          } else {
-            coef.at(i, 0) = advantage;
-          }
-        }
-        const tensor::Var surrogate = tensor::add_scalar(
-            tensor::sum_all(tensor::mul(ratio, tensor::Var(std::move(coef)))),
-            clipped_sum);
-        const tensor::Var critic = tensor::scale(
-            tensor::sum_all(tensor::square(tensor::sub(
-                tensor::concat_rows(vals), tensor::Var(std::move(rets))))),
-            cfg_.value_coef);
-        const tensor::Var entropy = tensor::scale(
-            tensor::sum_all(tensor::concat_rows(ents)), cfg_.entropy_beta);
-        loss = tensor::scale(
-            tensor::add(tensor::neg(surrogate),
-                        tensor::sub(critic, entropy)),
-            1.0 / static_cast<double>(m));
-        optimizer_.zero_grad();
-        loss.backward();
-        const double grad_norm = optimizer_.clip_grad_norm(cfg_.grad_clip);
-        last_loss_ = loss.value().item();
-        last_grad_norm_ = grad_norm;
-        if (!std::isfinite(loss.value().item()) ||
-            !std::isfinite(grad_norm)) {
-          optimizer_.zero_grad();
-          ++report.skipped_updates;
-          if (t_obs) t_obs->optim_skipped.add();
-          if (++divergent_streak >= patience) {
-            rollback(last_good);
-            ++report.rollbacks;
-            divergent_streak = 0;
-          }
-          continue;
-        }
-        divergent_streak = 0;
-        locked_step();
-        if (t_obs) t_obs->optim_updates.add();
-        continue;
-      }
-      bool first = true;
-      for (std::size_t i = begin; i < end; ++i) {
-        const Step& s = steps[i];
-        const PolicyNet::Output out = net_->forward(s.obs);
+      std::vector<const Observation*> mb;
+      mb.reserve(m);
+      for (std::size_t i = begin; i < end; ++i) mb.push_back(&steps[i].obs);
+      const auto outs = net_->forward_batched(mb);
+      std::vector<tensor::Var> lps, vals, ents;
+      lps.reserve(m);
+      vals.reserve(m);
+      ents.reserve(m);
+      tensor::Tensor old_lp(m, 1);
+      tensor::Tensor rets(m, 1);
+      for (std::size_t i = 0; i < m; ++i) {
+        const Step& s = steps[begin + i];
         // The action set is state-determined, so the index stays valid.
-        const tensor::Var logp =
-            tensor::pick(out.log_probs, 0, s.action);
+        lps.push_back(tensor::pick(outs[i].log_probs, 0, s.action));
+        vals.push_back(outs[i].value);
+        ents.push_back(tensor::entropy_row(outs[i].probs));
+        old_lp.at(i, 0) = s.old_log_prob;
+        rets.at(i, 0) = s.ret;
+      }
+      const tensor::Var ratio = tensor::exp_op(tensor::sub(
+          tensor::concat_rows(lps), tensor::Var(std::move(old_lp))));
+      // Clipped surrogate, branch picked analytically per step on the
+      // ratio value: the clipped branch carries no gradient, so it folds
+      // into a constant offset.
+      tensor::Tensor coef(m, 1);
+      double clipped_sum = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        const Step& s = steps[begin + i];
         const double advantage = s.ret - s.old_value;
-        // Clipped surrogate: ratio * A vs clip(ratio) * A, elementwise
-        // min expressed via the standard max-of-negatives trick on
-        // scalars. Both branches share the forward graph.
-        const tensor::Var ratio =
-            tensor::exp_op(tensor::add_scalar(logp, -s.old_log_prob));
-        const double r = ratio.value().item();
-        // Pick the active branch analytically (scalar case): the clipped
-        // objective's gradient is zero when the ratio is outside the
-        // trust region on the favorable side.
-        tensor::Var surrogate;
-        const bool clipped =
-            (advantage >= 0.0 && r > 1.0 + ppo_.clip) ||
-            (advantage < 0.0 && r < 1.0 - ppo_.clip);
+        const double r = ratio.value().at(i, 0);
+        const bool clipped = (advantage >= 0.0 && r > 1.0 + ppo_.clip) ||
+                             (advantage < 0.0 && r < 1.0 - ppo_.clip);
         if (clipped) {
-          surrogate = tensor::Var(tensor::Tensor(
-              1, 1,
-              std::clamp(r, 1.0 - ppo_.clip, 1.0 + ppo_.clip) * advantage));
+          clipped_sum +=
+              std::clamp(r, 1.0 - ppo_.clip, 1.0 + ppo_.clip) * advantage;
         } else {
-          surrogate = tensor::scale(ratio, advantage);
-        }
-        tensor::Var target{tensor::Tensor(1, 1, s.ret)};
-        tensor::Var step_loss = tensor::add(
-            tensor::neg(surrogate),
-            tensor::sub(
-                tensor::scale(
-                    tensor::square(tensor::sub(out.value, target)),
-                    cfg_.value_coef),
-                tensor::scale(tensor::entropy_row(out.probs),
-                              cfg_.entropy_beta)));
-        loss = first ? step_loss : tensor::add(loss, step_loss);
-        first = false;
-      }
-      loss = tensor::scale(loss, 1.0 / static_cast<double>(end - begin));
-      optimizer_.zero_grad();
-      loss.backward();
-      const double grad_norm = optimizer_.clip_grad_norm(cfg_.grad_clip);
-      last_loss_ = loss.value().item();
-      last_grad_norm_ = grad_norm;
-      if (!std::isfinite(loss.value().item()) ||
-          !std::isfinite(grad_norm)) {
-        // Poisoned minibatch: skip it before step() bakes NaN/Inf into
-        // the weights and the Adam moments.
-        optimizer_.zero_grad();
-        ++report.skipped_updates;
-        if (t_obs) t_obs->optim_skipped.add();
-        if (++divergent_streak >= patience) {
-          rollback(last_good);
-          ++report.rollbacks;
-          divergent_streak = 0;
-        }
-        continue;
-      }
-      divergent_streak = 0;
-      locked_step();
-      if (t_obs) t_obs->optim_updates.add();
-    }
-  }
-}
-
-TrainReport PpoTrainer::train(SchedulingEnv& env, const TrainOptions& opts) {
-  TrainReport report;
-  report.best_makespan = std::numeric_limits<double>::infinity();
-
-  int episode = 0;
-  int divergent_streak = 0;
-  if (opts.resume && !opts.checkpoint_dir.empty()) {
-    CheckpointData ck;
-    if (load_checkpoint(opts.checkpoint_dir, *net_, ck)) {
-      apply_checkpoint_to_trainer(ck, "ppo", opts.seed, 1, optimizer_, rng_);
-      episode = std::min(ck.progress.episode, opts.episodes);
-      report.updates = ck.progress.updates;
-      report.skipped_updates = ck.progress.skipped_updates;
-      report.rollbacks = ck.progress.rollbacks;
-      divergent_streak = ck.progress.divergent_streak;
-      if (opts.verbose) {
-        util::log_info() << "resumed from " << opts.checkpoint_dir
-                         << " at episode " << ck.progress.episode;
-      }
-    }
-  }
-  report.start_episode = episode;
-
-  std::string last_good = nn::serialize_parameters(*net_);
-  const int patience = std::max(1, opts.divergence_patience);
-  const int every = std::max(1, opts.checkpoint_every);
-  const CheckpointOptions ck_opts{opts.checkpoint_retain};
-  const auto make_ckpt = [&](int ep_done) {
-    CheckpointData d;
-    d.progress = {ep_done, report.updates, report.skipped_updates,
-                  report.rollbacks, divergent_streak};
-    d.trainer = "ppo";
-    d.env_seed = opts.seed;
-    d.num_envs = 1;
-    d.rngs = {{"sample", rng_.state()}};
-    d.optimizer = optimizer_.state_rows();
-    return d;
-  };
-  int since_checkpoint = 0;
-  while (episode < opts.episodes) {
-    std::vector<Step> steps;
-    const int round = std::min(ppo_.rollout_episodes,
-                               opts.episodes - episode);
-    for (int e = 0; e < round; ++e, ++episode) {
-      using obs_clock = std::chrono::steady_clock;
-      readys::obs::Telemetry* t_obs = readys::obs::telemetry();
-      const auto ep_t0 = t_obs ? obs_clock::now() : obs_clock::time_point{};
-      env.reset(opts.seed + static_cast<std::uint64_t>(episode));
-      std::vector<Step> episode_steps;
-      bool done = env.done();
-      double reward = 0.0;
-      while (!done) {
-        Step s;
-        s.obs = env.observation();
-        const PolicyNet::Output out = net_->forward(s.obs);
-        s.action = sample(out.probs.value());
-        s.old_log_prob = out.log_probs.value()[s.action];
-        s.old_value = out.value.value().item();
-        const auto result = env.step(s.action);
-        reward = shape_reward(cfg_, result.reward);
-        done = result.done;
-        episode_steps.push_back(std::move(s));
-      }
-      // Monte-Carlo returns: terminal-only reward discounted backwards.
-      double running = 0.0;
-      for (std::size_t i = episode_steps.size(); i-- > 0;) {
-        running = (i + 1 == episode_steps.size())
-                      ? reward
-                      : cfg_.gamma * running;
-        episode_steps[i].ret = running;
-      }
-      report.episode_rewards.push_back(reward);
-      report.episode_makespans.push_back(env.makespan());
-      report.best_makespan =
-          std::min(report.best_makespan, env.makespan());
-      if (t_obs != nullptr && t_obs->sink() != nullptr) {
-        const double wall_s =
-            std::chrono::duration<double>(obs_clock::now() - ep_t0).count();
-        const auto decisions = env.decisions_this_episode();
-        readys::obs::JsonObject row;
-        row.field("row", "episode")
-            .field("trainer", "ppo")
-            .field("episode", episode + 1)
-            .field("reward", reward)
-            .field("makespan_ms", env.makespan())
-            .field("loss", last_loss_)
-            .field("grad_norm", last_grad_norm_)
-            .field("decisions", static_cast<std::uint64_t>(decisions))
-            .field("steps_per_s", wall_s > 0.0
-                                      ? static_cast<double>(decisions) / wall_s
-                                      : 0.0)
-            .field("skipped_updates",
-                   static_cast<std::uint64_t>(report.skipped_updates))
-            .field("rollbacks",
-                   static_cast<std::uint64_t>(report.rollbacks));
-        t_obs->sink()->write(row.str());
-      }
-      steps.insert(steps.end(),
-                   std::make_move_iterator(episode_steps.begin()),
-                   std::make_move_iterator(episode_steps.end()));
-    }
-    optimize(steps, report, last_good, patience, divergent_streak);
-    ++report.updates;
-    since_checkpoint += round;
-    if (since_checkpoint >= every) {
-      last_good = nn::serialize_parameters(*net_);
-      if (!opts.checkpoint_dir.empty()) {
-        save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(episode),
-                        ck_opts);
-      }
-      since_checkpoint = 0;
-    }
-  }
-  if (!opts.checkpoint_dir.empty()) {
-    save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(opts.episodes),
-                    ck_opts);
-  }
-  if (!report.episode_rewards.empty()) {
-    // Empty when --resume found a run that already finished.
-    const std::size_t tail =
-        std::max<std::size_t>(1, report.episode_rewards.size() / 5);
-    report.final_mean_reward = util::mean(
-        {report.episode_rewards.data() + report.episode_rewards.size() - tail,
-         tail});
-  }
-  return report;
-}
-
-TrainReport PpoTrainer::train(VecEnv& envs, const TrainOptions& opts) {
-  if (opts.async) return train_async(envs, opts);
-  if (envs.size() == 1) {
-    // The num_envs == 1 contract is bit-exactness with the sequential
-    // trainer; delegating is the strongest possible form of it.
-    return train(envs.env(0), opts);
-  }
-  TrainReport report;
-  report.best_makespan = std::numeric_limits<double>::infinity();
-  const std::size_t width = envs.size();
-  // Batched minibatch re-forwards regroup the gradient accumulation;
-  // width 1 delegated above, so this path is always genuinely multi-env.
-  const bool batched = true;
-
-  int episode = 0;
-  int divergent_streak = 0;
-  if (opts.resume && !opts.checkpoint_dir.empty()) {
-    CheckpointData ck;
-    if (load_checkpoint(opts.checkpoint_dir, *net_, ck)) {
-      apply_checkpoint_to_trainer(ck, "ppo", opts.seed, width, optimizer_,
-                                  rng_);
-      episode = std::min(ck.progress.episode, opts.episodes);
-      report.updates = ck.progress.updates;
-      report.skipped_updates = ck.progress.skipped_updates;
-      report.rollbacks = ck.progress.rollbacks;
-      divergent_streak = ck.progress.divergent_streak;
-      if (opts.verbose) {
-        util::log_info() << "resumed from " << opts.checkpoint_dir
-                         << " at episode " << ck.progress.episode;
-      }
-    }
-  }
-  report.start_episode = episode;
-
-  std::string last_good = nn::serialize_parameters(*net_);
-  const int patience = std::max(1, opts.divergence_patience);
-  const int every = std::max(1, opts.checkpoint_every);
-  const CheckpointOptions ck_opts{opts.checkpoint_retain};
-  const auto make_ckpt = [&](int ep_done) {
-    CheckpointData d;
-    d.progress = {ep_done, report.updates, report.skipped_updates,
-                  report.rollbacks, divergent_streak};
-    d.trainer = "ppo";
-    d.env_seed = opts.seed;
-    d.num_envs = width;
-    d.rngs = {{"sample", rng_.state()}};
-    d.optimizer = optimizer_.state_rows();
-    return d;
-  };
-  int since_checkpoint = 0;
-  std::vector<std::vector<Step>> ep_steps(width);
-  std::vector<double> ep_rewards(width, 0.0);
-  while (episode < opts.episodes) {
-    std::vector<Step> steps;
-    const int round = std::min(ppo_.rollout_episodes,
-                               opts.episodes - episode);
-    // Collect the round in lockstep waves of up to `width` episodes.
-    int collected = 0;
-    while (collected < round) {
-      using obs_clock = std::chrono::steady_clock;
-      readys::obs::Telemetry* t_obs = readys::obs::telemetry();
-      const auto wave_t0 = t_obs ? obs_clock::now() : obs_clock::time_point{};
-      const int wave = std::min(static_cast<int>(width), round - collected);
-      std::vector<std::size_t> active;
-      active.reserve(static_cast<std::size_t>(wave));
-      for (int e = 0; e < wave; ++e) {
-        envs.reset_one(static_cast<std::size_t>(e),
-                       opts.seed + static_cast<std::uint64_t>(episode + e));
-        ep_steps[static_cast<std::size_t>(e)].clear();
-        ep_rewards[static_cast<std::size_t>(e)] = 0.0;
-        active.push_back(static_cast<std::size_t>(e));
-      }
-      {
-        // Collection is inference: record values only, skip the graph.
-        tensor::NoGradGuard no_grad;
-        while (!active.empty()) {
-          const auto obs_batch = envs.observations(active);
-          const auto outs = net_->forward_batched(obs_batch);
-          std::vector<std::size_t> acts(active.size());
-          for (std::size_t k = 0; k < active.size(); ++k) {
-            Step s;
-            s.obs = *obs_batch[k];
-            s.action = sample(outs[k].probs.value());
-            s.old_log_prob = outs[k].log_probs.value()[s.action];
-            s.old_value = outs[k].value.value().item();
-            acts[k] = s.action;
-            ep_steps[active[k]].push_back(std::move(s));
-          }
-          const auto results = envs.step(active, acts);
-          std::vector<std::size_t> next;
-          next.reserve(active.size());
-          for (std::size_t k = 0; k < active.size(); ++k) {
-            // Overwritten every step, so the terminal reward survives —
-            // the same contract as the sequential collection loop.
-            ep_rewards[active[k]] = shape_reward(cfg_, results[k].reward);
-            if (!results[k].done) next.push_back(active[k]);
-          }
-          active = std::move(next);
+          coef.at(i, 0) = advantage;
         }
       }
-      const double wave_wall_s =
-          t_obs ? std::chrono::duration<double>(obs_clock::now() - wave_t0)
-                      .count()
-                : 0.0;
-      std::size_t wave_decisions = 0;
-      for (int e = 0; e < wave; ++e) {
-        wave_decisions +=
-            envs.env(static_cast<std::size_t>(e)).decisions_this_episode();
-      }
-      for (int e = 0; e < wave; ++e) {
-        auto& es = ep_steps[static_cast<std::size_t>(e)];
-        const double reward = ep_rewards[static_cast<std::size_t>(e)];
-        // Monte-Carlo returns: terminal-only reward discounted backwards.
-        double running = 0.0;
-        for (std::size_t i = es.size(); i-- > 0;) {
-          running = (i + 1 == es.size()) ? reward : cfg_.gamma * running;
-          es[i].ret = running;
-        }
-        const auto& env = envs.env(static_cast<std::size_t>(e));
-        report.episode_rewards.push_back(reward);
-        report.episode_makespans.push_back(env.makespan());
-        report.best_makespan =
-            std::min(report.best_makespan, env.makespan());
-        if (t_obs != nullptr && t_obs->sink() != nullptr) {
-          readys::obs::JsonObject row;
-          row.field("row", "episode")
-              .field("trainer", "ppo")
-              .field("envs", static_cast<std::uint64_t>(width))
-              .field("episode", episode + e + 1)
-              .field("reward", reward)
-              .field("makespan_ms", env.makespan())
-              // These rows precede the round's optimize, so no update
-              // covers them yet; null (non-finite renders as null)
-              // instead of fanning out a stale minibatch loss.
-              .field("loss", std::numeric_limits<double>::quiet_NaN())
-              .field("grad_norm", std::numeric_limits<double>::quiet_NaN())
-              .field("decisions", static_cast<std::uint64_t>(
-                                      env.decisions_this_episode()))
-              .field("steps_per_s",
-                     wave_wall_s > 0.0
-                         ? static_cast<double>(wave_decisions) / wave_wall_s
-                         : 0.0)
-              .field("skipped_updates",
-                     static_cast<std::uint64_t>(report.skipped_updates))
-              .field("rollbacks",
-                     static_cast<std::uint64_t>(report.rollbacks));
-          t_obs->sink()->write(row.str());
-        }
-        steps.insert(steps.end(), std::make_move_iterator(es.begin()),
-                     std::make_move_iterator(es.end()));
-        es.clear();
-      }
-      episode += wave;
-      collected += wave;
-    }
-    optimize(steps, report, last_good, patience, divergent_streak, batched);
-    ++report.updates;
-    since_checkpoint += round;
-    if (since_checkpoint >= every) {
-      last_good = nn::serialize_parameters(*net_);
-      if (!opts.checkpoint_dir.empty()) {
-        save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(episode),
-                        ck_opts);
-      }
-      since_checkpoint = 0;
+      const tensor::Var surrogate = tensor::add_scalar(
+          tensor::sum_all(tensor::mul(ratio, tensor::Var(std::move(coef)))),
+          clipped_sum);
+      const tensor::Var critic = tensor::scale(
+          tensor::sum_all(tensor::square(tensor::sub(
+              tensor::concat_rows(vals), tensor::Var(std::move(rets))))),
+          cfg_.value_coef);
+      const tensor::Var entropy = tensor::scale(
+          tensor::sum_all(tensor::concat_rows(ents)), cfg_.entropy_beta);
+      const tensor::Var loss = tensor::scale(
+          tensor::add(tensor::neg(surrogate), tensor::sub(critic, entropy)),
+          1.0 / static_cast<double>(m));
+      guard(apply_loss(loss), 1);
     }
   }
-  if (!opts.checkpoint_dir.empty()) {
-    save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(opts.episodes),
-                    ck_opts);
-  }
-  if (!report.episode_rewards.empty()) {
-    const std::size_t tail =
-        std::max<std::size_t>(1, report.episode_rewards.size() / 5);
-    report.final_mean_reward = util::mean(
-        {report.episode_rewards.data() + report.episode_rewards.size() - tail,
-         tail});
-  }
-  return report;
-}
-
-TrainReport PpoTrainer::train_async(VecEnv& envs, const TrainOptions& opts) {
-  TrainReport report;
-  report.best_makespan = std::numeric_limits<double>::infinity();
-  const std::size_t width = envs.size();
-
-  int episode = 0;
-  int divergent_streak = 0;
-  if (opts.resume && !opts.checkpoint_dir.empty()) {
-    CheckpointData ck;
-    if (load_checkpoint(opts.checkpoint_dir, *net_, ck)) {
-      apply_checkpoint_to_trainer(ck, "ppo", opts.seed, width, optimizer_,
-                                  rng_);
-      episode = std::min(ck.progress.episode, opts.episodes);
-      report.updates = ck.progress.updates;
-      report.skipped_updates = ck.progress.skipped_updates;
-      report.rollbacks = ck.progress.rollbacks;
-      divergent_streak = ck.progress.divergent_streak;
-      if (opts.verbose) {
-        util::log_info() << "resumed from " << opts.checkpoint_dir
-                         << " at episode " << ck.progress.episode;
-      }
-    }
-  }
-  report.start_episode = episode;
-
-  std::string last_good = nn::serialize_parameters(*net_);
-  const int patience = std::max(1, opts.divergence_patience);
-  const int every = std::max(1, opts.checkpoint_every);
-  const CheckpointOptions ck_opts{opts.checkpoint_retain};
-  const auto make_ckpt = [&](int ep_done) {
-    CheckpointData d;
-    d.progress = {ep_done, report.updates, report.skipped_updates,
-                  report.rollbacks, divergent_streak};
-    d.trainer = "ppo";
-    d.env_seed = opts.seed;
-    d.num_envs = width;
-    d.rngs = {{"sample", rng_.state()}};
-    d.optimizer = optimizer_.state_rows();
-    return d;
-  };
-
-  // PPO's rollout round is already its learner batch: drain exactly
-  // rollout_episodes per optimize (async_batch is ignored), with the
-  // strict-mode window matching.
-  const int batch_size = std::max(1, ppo_.rollout_episodes);
-
-  std::shared_mutex net_mutex;
-  struct MutexGuard {
-    PpoTrainer* t;
-    ~MutexGuard() { t->net_mutex_ = nullptr; }
-  } mutex_guard{this};
-  net_mutex_ = &net_mutex;
-
-  // Declaration order is the shutdown order in reverse: the pool's
-  // destructor joins the actor threads before the queue or the mutex
-  // they use can die.
-  EpisodeQueue queue(std::max<std::size_t>(
-      opts.async_queue > 0 ? static_cast<std::size_t>(opts.async_queue)
-                           : 2 * width,
-      static_cast<std::size_t>(batch_size)));
-  ActorPool::Options pool_opts;
-  pool_opts.first_episode = episode;
-  pool_opts.episodes = opts.episodes;
-  pool_opts.actors = opts.async_actors > 0
-                         ? static_cast<std::size_t>(opts.async_actors)
-                         : width;
-  pool_opts.env_seed = opts.seed;
-  pool_opts.action_seed = cfg_.seed ^ 0xC2B2AE3D27D4EB4FULL;
-  pool_opts.strict = opts.async_strict;
-  // Strict: exactly one rollout round claimable, so actors are parked
-  // while the learner optimizes. Free: one extra in-flight episode per
-  // actor bounds weight staleness at round + actors episodes.
-  const int window =
-      opts.async_strict
-          ? batch_size
-          : batch_size + static_cast<int>(pool_opts.actors);
-  pool_opts.window = window;
-  // Per-actor policy replicas, synced from the learner net at every
-  // episode start, so a trajectory's old_log_probs all come from one
-  // consistent behavior policy (PPO's ratio is meaningless otherwise).
-  const std::size_t n_actors =
-      std::max<std::size_t>(1, std::min(pool_opts.actors, width));
-  std::vector<std::unique_ptr<PolicyNet>> replicas;
-  std::vector<std::vector<tensor::Var>> replica_params;
-  replicas.reserve(n_actors);
-  const std::vector<tensor::Var> learner_params = net_->parameters();
-  for (std::size_t s = 0; s < n_actors; ++s) {
-    replicas.push_back(std::make_unique<PolicyNet>(
-        net_->node_features(), net_->resource_features(), cfg_));
-    replica_params.push_back(replicas.back()->parameters());
-  }
-  pool_opts.on_episode_start = [&](std::size_t slot, int) {
-    // Shared lock: the copy must not observe a half-applied Adam step.
-    std::shared_lock lock(*net_mutex_);
-    auto& params = replica_params[slot];
-    for (std::size_t p = 0; p < params.size(); ++p) {
-      params[p].mutable_value() = learner_params[p].value();
-    }
-  };
-  ActorPool pool(
-      envs, queue,
-      [&replicas](std::size_t slot, const Observation& obs, util::Rng& rng) {
-        // The replica is slot-private: no lock needed per decision.
-        tensor::NoGradGuard no_grad;
-        const PolicyNet::Output out = replicas[slot]->forward(obs);
-        ActorPool::Act act;
-        act.action = sample_categorical(out.probs.value(), rng);
-        act.log_prob = out.log_probs.value()[act.action];
-        act.value = out.value.value().item();
-        return act;
-      },
-      pool_opts);
-
-  using obs_clock = std::chrono::steady_clock;
-  std::vector<EpisodeRollout> batch;
-  int since_checkpoint = 0;
-  bool drained_ok = true;
-  while (episode < opts.episodes) {
-    const int want = std::min(batch_size, opts.episodes - episode);
-    readys::obs::Telemetry* t_obs = readys::obs::telemetry();
-    const auto batch_t0 = t_obs ? obs_clock::now() : obs_clock::time_point{};
-    batch.clear();
-    EpisodeRollout rec;
-    while (static_cast<int>(batch.size()) < want) {
-      if (!queue.pop(rec)) {
-        drained_ok = false;
-        break;
-      }
-      batch.push_back(std::move(rec));
-    }
-    if (!drained_ok) break;
-    // Arrival order is thread-timing; episode order is not. Sorting
-    // makes the learner's view (and, in strict mode, the whole run —
-    // including rng_'s minibatch shuffles) a function of episode
-    // indices alone.
-    std::sort(batch.begin(), batch.end(),
-              [](const EpisodeRollout& a, const EpisodeRollout& b) {
-                return a.index < b.index;
-              });
-
-    std::vector<Step> steps;
-    std::size_t batch_decisions = 0;
-    for (EpisodeRollout& e : batch) batch_decisions += e.decisions;
-    const double batch_wall_s =
-        t_obs
-            ? std::chrono::duration<double>(obs_clock::now() - batch_t0)
-                  .count()
-            : 0.0;
-    for (EpisodeRollout& e : batch) {
-      const std::size_t n = e.observations.size();
-      const double reward =
-          n > 0 ? shape_reward(cfg_, e.rewards.back()) : 0.0;
-      // Monte-Carlo returns: terminal-only reward discounted backwards.
-      std::vector<double> rets(n);
-      double running = 0.0;
-      for (std::size_t i = n; i-- > 0;) {
-        running = (i + 1 == n) ? reward : cfg_.gamma * running;
-        rets[i] = running;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        Step s;
-        s.obs = std::move(e.observations[i]);
-        s.action = e.actions[i];
-        s.old_log_prob = e.log_probs[i];
-        s.old_value = e.values[i];
-        s.ret = rets[i];
-        steps.push_back(std::move(s));
-      }
-      report.episode_rewards.push_back(reward);
-      report.episode_makespans.push_back(e.makespan);
-      report.best_makespan = std::min(report.best_makespan, e.makespan);
-      if (t_obs != nullptr && t_obs->sink() != nullptr) {
-        readys::obs::JsonObject row;
-        row.field("row", "episode")
-            .field("trainer", "ppo")
-            .field("envs", static_cast<std::uint64_t>(width))
-            .field("async", true)
-            .field("episode", e.index + 1)
-            .field("reward", reward)
-            .field("makespan_ms", e.makespan)
-            .field("loss", std::numeric_limits<double>::quiet_NaN())
-            .field("grad_norm", std::numeric_limits<double>::quiet_NaN())
-            .field("decisions", static_cast<std::uint64_t>(e.decisions))
-            .field("steps_per_s",
-                   batch_wall_s > 0.0
-                       ? static_cast<double>(batch_decisions) / batch_wall_s
-                       : 0.0)
-            .field("skipped_updates",
-                   static_cast<std::uint64_t>(report.skipped_updates))
-            .field("rollbacks",
-                   static_cast<std::uint64_t>(report.rollbacks));
-        t_obs->sink()->write(row.str());
-      }
-    }
-    optimize(steps, report, last_good, patience, divergent_streak,
-             /*batched=*/true);
-    ++report.updates;
-    const int prev = episode;
-    episode += static_cast<int>(batch.size());
-    // Un-gate the next window only after this optimize: in strict mode
-    // its actors then see exactly these weights; in free mode the slack
-    // in `window` kept them busy while this thread was optimizing.
-    pool.release_below(episode + window);
-    since_checkpoint += episode - prev;
-    if (since_checkpoint >= every) {
-      last_good = nn::serialize_parameters(*net_);
-      if (!opts.checkpoint_dir.empty()) {
-        save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(episode),
-                        ck_opts);
-      }
-      since_checkpoint = 0;
-    }
-  }
-  pool.join();
-  if (auto err = queue.error()) std::rethrow_exception(err);
-  if (!drained_ok) {
-    throw std::runtime_error(
-        "PpoTrainer: async episode queue closed before the run finished");
-  }
-  if (!opts.checkpoint_dir.empty()) {
-    save_checkpoint(opts.checkpoint_dir, *net_, make_ckpt(opts.episodes),
-                    ck_opts);
-  }
-  if (!report.episode_rewards.empty()) {
-    const std::size_t tail =
-        std::max<std::size_t>(1, report.episode_rewards.size() / 5);
-    report.final_mean_reward = util::mean(
-        {report.episode_rewards.data() + report.episode_rewards.size() - tail,
-         tail});
-  }
-  return report;
-}
-
-std::vector<double> PpoTrainer::evaluate(SchedulingEnv& env, int episodes,
-                                         std::uint64_t seed_base,
-                                         bool greedy) {
-  std::vector<double> makespans;
-  makespans.reserve(static_cast<std::size_t>(episodes));
-  for (int ep = 0; ep < episodes; ++ep) {
-    env.reset(seed_base + static_cast<std::uint64_t>(ep));
-    bool done = env.done();
-    while (!done) {
-      const PolicyNet::Output out = net_->forward(env.observation());
-      const tensor::Tensor& p = out.probs.value();
-      std::size_t a = 0;
-      if (greedy) {
-        for (std::size_t i = 1; i < p.size(); ++i) {
-          if (p[i] > p[a]) a = i;
-        }
-      } else {
-        a = sample(p);
-      }
-      done = env.step(a).done;
-    }
-    makespans.push_back(env.makespan());
-  }
-  return makespans;
 }
 
 }  // namespace readys::rl

@@ -1,6 +1,8 @@
 #pragma once
 
-#include "rl/a2c.hpp"
+#include <vector>
+
+#include "rl/train_loop.hpp"
 
 namespace readys::rl {
 
@@ -15,35 +17,15 @@ struct PpoConfig {
 
 /// Proximal Policy Optimization (clipped surrogate) on the scheduling
 /// MDP. The paper suggests more recent policy-gradient methods as future
-/// work (§VI); PPO reuses the same PolicyNet, environment and reward
-/// shaping as the A2C trainer, so the two are directly comparable (see
-/// bench/ablation_hyperparams).
-class PpoTrainer {
+/// work (§VI); PPO reuses the same PolicyNet, environment, reward
+/// shaping and training loop as the A2C trainer, so the two are
+/// directly comparable (see bench/ablation_hyperparams). Each round of
+/// `rollout_episodes` episodes — collected in waves of up to the VecEnv
+/// width, or drained from the async actors — feeds one optimize() pass;
+/// the report counts rounds as updates.
+class PpoTrainer final : public Learner {
  public:
   PpoTrainer(PolicyNet& net, const AgentConfig& cfg, PpoConfig ppo = {});
-
-  /// Trains in-place; the TrainOptions/TrainReport contract matches
-  /// A2CTrainer::train.
-  TrainReport train(SchedulingEnv& env, const TrainOptions& opts);
-
-  /// Vectorized training: each rollout round collects its episodes in
-  /// waves of up to envs.size() lockstep episodes (episode i runs with
-  /// seed opts.seed + i, as in the sequential path), batching the
-  /// collection forwards through PolicyNet::forward_batched under
-  /// tensor::NoGradGuard; with more than one env the optimization epochs
-  /// batch their minibatch forwards too. PPO's update cadence is already
-  /// width-invariant (one optimize round per rollout_episodes), so only
-  /// collection parallelizes. With envs.size() == 1 this delegates to
-  /// the sequential train() (bit-for-bit identical). With opts.async it
-  /// switches to the actor–learner mode: ActorPool threads run episodes
-  /// into an EpisodeQueue and the learner drains rollout_episodes per
-  /// optimize round (opts.async_batch is ignored — PPO's round IS its
-  /// batch), with the same strict-mode determinism contract as A2C.
-  TrainReport train(VecEnv& envs, const TrainOptions& opts);
-
-  /// Greedy / sampled evaluation (same semantics as A2CTrainer).
-  std::vector<double> evaluate(SchedulingEnv& env, int episodes,
-                               std::uint64_t seed_base, bool greedy);
 
  private:
   struct Step {
@@ -54,39 +36,20 @@ class PpoTrainer {
     double old_value = 0.0;  ///< V(s) at collection time
   };
 
-  /// One optimization round over the collected steps. Minibatch updates
-  /// whose loss or gradients go NaN/Inf are skipped (counted in
-  /// `report.skipped_updates`); after `patience` consecutive skips the
-  /// weights roll back to `last_good` and the optimizer is reset.
-  /// `batched` runs each minibatch's re-forwards through
-  /// forward_batched; it changes the gradient accumulation order (one
-  /// packed trunk instead of per-step graphs), so the single-env paths
-  /// keep it off to stay bit-exact.
-  void optimize(std::vector<Step>& steps, TrainReport& report,
-                const std::string& last_good, int patience,
-                int& divergent_streak, bool batched = false);
+  int episodes_per_learn(const TrainOptions& opts,
+                         std::size_t width) const override;
+  std::size_t learn(std::vector<EpisodeRollout>& eps,
+                    std::vector<UpdateStats>& stats) override;
+  /// The shaped terminal reward.
+  double reported_reward(const EpisodeRollout& e) const override;
 
-  /// Restores `last_good` into the net and resets the optimizer (under
-  /// the exclusive net lock when training asynchronously).
-  void rollback(const std::string& last_good);
+  /// `epochs` passes over the round's steps, each shuffled from the
+  /// shared stream and cut into minibatches. Every minibatch re-forwards
+  /// through one forward_batched and stacks its loss terms into (m x 1)
+  /// columns; its outcome goes through the divergence guard.
+  void optimize(std::vector<Step>& steps);
 
-  /// The async actor–learner loop behind train(VecEnv&) + opts.async.
-  TrainReport train_async(VecEnv& envs, const TrainOptions& opts);
-
-  std::size_t sample(const tensor::Tensor& probs);
-
-  PolicyNet* net_;
-  AgentConfig cfg_;
   PpoConfig ppo_;
-  nn::Adam optimizer_;
-  util::Rng rng_;
-  // Last minibatch update, for the telemetry episode rows (NaN until the
-  // first update; a skipped update records what was rejected).
-  double last_loss_ = std::numeric_limits<double>::quiet_NaN();
-  double last_grad_norm_ = std::numeric_limits<double>::quiet_NaN();
-  /// Set only inside train_async: actors hold it shared around forwards;
-  /// the optimizer step and rollback take it exclusively.
-  std::shared_mutex* net_mutex_ = nullptr;
 };
 
 }  // namespace readys::rl

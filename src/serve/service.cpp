@@ -221,8 +221,18 @@ DecisionService::Admission DecisionService::submit(const SessionSpec& spec_in) {
   std::unique_ptr<Session> session = build_session(out.id, spec, 0);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(QosQueue::Entry{std::move(session), Clock::time_point{}});
-    update_gauges();
+    // abort_shutdown() sets stop_ before it sweeps the queue, under this
+    // mutex: a session pushed now would never be swept or retired.
+    if (!stop_) {
+      queue_.push_back(
+          QosQueue::Entry{std::move(session), Clock::time_point{}});
+      update_gauges();
+    }
+  }
+  if (session != nullptr) {
+    retire(std::move(session), SessionState::kAborted, "service aborted",
+           /*was_active=*/false);
+    return out;
   }
   work_cv_.notify_one();
   return out;

@@ -66,7 +66,10 @@ std::string Trace::validate(const dag::TaskGraph& graph,
       }
     }
   }
-  // Resource exclusivity: sort each resource's entries by start time.
+  // Resource exclusivity: sort each resource's entries by (start,
+  // finish). Ordering ties by finish puts a zero-length task ahead of a
+  // longer one starting at the same instant; by start alone the longer
+  // one could sort first and the pair read as an overlap.
   std::vector<std::vector<const TraceEntry*>> per_resource(
       static_cast<std::size_t>(platform.size()));
   for (const auto& e : entries_) {
@@ -75,7 +78,8 @@ std::string Trace::validate(const dag::TaskGraph& graph,
   for (auto& list : per_resource) {
     std::sort(list.begin(), list.end(),
               [](const TraceEntry* a, const TraceEntry* b) {
-                return a->start < b->start;
+                return a->start != b->start ? a->start < b->start
+                                            : a->finish < b->finish;
               });
     for (std::size_t i = 1; i < list.size(); ++i) {
       if (list[i]->start + kEps < list[i - 1]->finish) {

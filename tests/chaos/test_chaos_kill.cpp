@@ -3,8 +3,8 @@
 // checkpoint boundaries and mid-write instants, resume from the
 // surviving files, and require the final weights to be bit-identical to
 // an uninterrupted reference run. Runs the full matrix the checkpoint
-// code serves: {A2C, PPO} x {sequential, num_envs = 4}, plus the
-// deterministic async actor–learner mode (A2C, --async-strict).
+// code serves: {A2C, PPO} x {num_envs = 1, num_envs = 4}, plus the
+// async actor–learner mode (A2C, --async).
 //
 // The child never touches gtest: it installs the checkpoint write hook,
 // trains until the hook raises SIGKILL, and _exit(0)s if the kill point
@@ -80,43 +80,31 @@ rl::TrainOptions train_options(const std::string& dir, bool resume) {
 /// like a process restart.
 std::string run_training(Trainer trainer, std::size_t num_envs,
                          const std::string& dir, bool resume,
-                         bool async_strict = false) {
+                         bool async = false) {
   const auto graph = rd::cholesky_graph(3);
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   const auto cfg = tiny_config();
   const rl::SchedulingEnv::Config env_cfg{0.0, cfg.window, 1};
   auto opts = train_options(dir, resume);
-  if (async_strict) {
-    // Deterministic actor–learner mode: a killed run must resume onto
-    // the reference trajectory even with real actor threads in play.
+  if (async) {
+    // The actor–learner mode is deterministic: a killed run must resume
+    // onto the reference trajectory even with real actor threads in play.
     opts.async = true;
-    opts.async_strict = true;
     opts.async_actors = 2;
     opts.async_batch = 1;
   }
 
   rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
                     rl::StateEncoder::kResourceFeatureWidth, cfg);
+  rl::VecEnv envs(graph, platform, costs, env_cfg, num_envs);
   if (trainer == Trainer::kA2c) {
     rl::A2CTrainer t(net, cfg);
-    if (num_envs == 1) {
-      rl::SchedulingEnv env(graph, platform, costs, env_cfg);
-      t.train(env, opts);
-    } else {
-      rl::VecEnv envs(graph, platform, costs, env_cfg, num_envs);
-      t.train(envs, opts);
-    }
+    t.train(envs, opts);
   } else {
     rl::PpoTrainer t(net, cfg,
                      {.rollout_episodes = 4, .epochs = 2, .minibatch = 16});
-    if (num_envs == 1) {
-      rl::SchedulingEnv env(graph, platform, costs, env_cfg);
-      t.train(env, opts);
-    } else {
-      rl::VecEnv envs(graph, platform, costs, env_cfg, num_envs);
-      t.train(envs, opts);
-    }
+    t.train(envs, opts);
   }
   return rn::serialize_parameters(net);
 }
@@ -145,17 +133,17 @@ std::vector<KillSpec> kill_specs(std::uint64_t seed) {
 }
 
 void run_chaos_matrix(Trainer trainer, std::size_t num_envs,
-                      const std::string& tag, bool async_strict = false) {
+                      const std::string& tag, bool async = false) {
   // Uninterrupted reference, checkpointing enabled so the code path
   // matches the victim's exactly.
   const auto ref_dir = scratch_dir("readys-chaos-ref-" + tag);
   const std::string reference =
-      run_training(trainer, num_envs, ref_dir, false, async_strict);
+      run_training(trainer, num_envs, ref_dir, false, async);
   fs::remove_all(ref_dir);
 
   const std::uint64_t matrix_seed =
       (trainer == Trainer::kA2c ? 100 : 200) + num_envs +
-      (async_strict ? 50 : 0);
+      (async ? 50 : 0);
   for (const KillSpec& spec : kill_specs(matrix_seed)) {
     SCOPED_TRACE(tag + ": kill at checkpoint " + std::to_string(spec.index) +
                  " phase " + spec.phase);
@@ -173,7 +161,7 @@ void run_chaos_matrix(Trainer trainer, std::size_t num_envs,
               ::raise(SIGKILL);
             }
           });
-      run_training(trainer, num_envs, dir, false, async_strict);
+      run_training(trainer, num_envs, dir, false, async);
       ::_exit(0);  // strike never fired — parent flags this as a failure
     }
 
@@ -186,7 +174,7 @@ void run_chaos_matrix(Trainer trainer, std::size_t num_envs,
     // Restart: a fresh trainer resumes from whatever files survived and
     // must land on the reference weights bit for bit.
     const std::string resumed =
-        run_training(trainer, num_envs, dir, true, async_strict);
+        run_training(trainer, num_envs, dir, true, async);
     EXPECT_EQ(resumed, reference);
     fs::remove_all(dir);
   }
@@ -203,7 +191,7 @@ TEST(ChaosKill, A2cVectorizedSurvivesKillAndResumesBitIdentical) {
 }
 
 TEST(ChaosKill, A2cAsyncStrictSurvivesKillAndResumesBitIdentical) {
-  run_chaos_matrix(Trainer::kA2c, 4, "a2c-async4", /*async_strict=*/true);
+  run_chaos_matrix(Trainer::kA2c, 4, "a2c-async4", /*async=*/true);
 }
 
 TEST(ChaosKill, PpoSequentialSurvivesKillAndResumesBitIdentical) {

@@ -5,6 +5,7 @@
 
 #include "dag/cholesky.hpp"
 #include "rl/a2c.hpp"
+#include "rl/ppo.hpp"
 #include "util/stats.hpp"
 
 namespace rd = readys::dag;
@@ -61,8 +62,8 @@ TEST(A2C, TrainingRunsAndReportsEveryEpisode) {
   auto cfg = tiny_config();
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  const auto report = trainer.train(env, {.episodes = 8, .sigma = 0.0});
+  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
+  const auto report = trainer.train(envs, {.episodes = 8, .sigma = 0.0});
   EXPECT_EQ(report.episode_rewards.size(), 8u);
   EXPECT_EQ(report.episode_makespans.size(), 8u);
   EXPECT_GT(report.updates, 0u);
@@ -81,8 +82,8 @@ TEST(A2C, TrainingChangesParameters) {
   std::vector<readys::tensor::Tensor> before;
   for (const auto& p : net.parameters()) before.push_back(p.value());
   rr::A2CTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  trainer.train(env, {.episodes = 4});
+  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
+  trainer.train(envs, {.episodes = 4});
   bool changed = false;
   const auto params = net.parameters();
   for (std::size_t i = 0; i < params.size(); ++i) {
@@ -106,23 +107,30 @@ TEST(A2C, EvaluateIsGreedyDeterministic) {
 }
 
 TEST(A2C, SampledEvaluateIsIndependentOfTrainingHistory) {
-  // Regression: evaluate() used to draw from the shared training
-  // sample_rng_, so a sampled evaluation's result depended on how many
-  // actions training had consumed beforehand. A zero-lr training burst
-  // advances the training RNG without moving the weights; the two
-  // sampled evaluations around it must still agree exactly.
+  // Regression: evaluate() used to draw from the shared training stream
+  // (A2C's sample_rng_, PPO's rng_), so a sampled evaluation's result
+  // depended on how many actions training had consumed beforehand. A
+  // zero-lr training burst advances the training RNG without moving the
+  // weights; the two sampled evaluations around it must still agree
+  // exactly, for both trainers.
   const auto graph = rd::cholesky_graph(3);
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
   cfg.lr = 0.0;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
-  rr::A2CTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, {0.1, cfg.window, 1});
-  const auto before = trainer.evaluate(env, 4, 77, /*greedy=*/false);
-  trainer.train(env, {.episodes = 5});
-  const auto after = trainer.evaluate(env, 4, 77, /*greedy=*/false);
-  EXPECT_EQ(before, after);
+  const auto check = [&](rr::Learner& trainer) {
+    rr::VecEnv envs(graph, platform, costs, {0.1, cfg.window, 1}, 1);
+    const auto before = trainer.evaluate(envs.env(0), 4, 77, false);
+    trainer.train(envs, {.episodes = 5});
+    const auto after = trainer.evaluate(envs.env(0), 4, 77, false);
+    EXPECT_EQ(before, after);
+  };
+  rr::PolicyNet a2c_net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::A2CTrainer a2c(a2c_net, cfg);
+  check(a2c);
+  rr::PolicyNet ppo_net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PpoTrainer ppo(ppo_net, cfg, {.rollout_episodes = 2, .epochs = 1});
+  check(ppo);
 }
 
 TEST(A2C, RewardSquashIsMonotoneAndBounded) {
@@ -180,8 +188,9 @@ TEST(A2C, LearnsTinyInstanceToHeftLevel) {
   cfg.entropy_beta = 1e-3;
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  trainer.train(env, {.episodes = 250});
+  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
+  rr::SchedulingEnv& env = envs.env(0);
+  trainer.train(envs, {.episodes = 250});
   const auto makespans = trainer.evaluate(env, 5, 1000, true);
   const double mean = readys::util::mean(makespans);
   EXPECT_LE(mean, env.heft_reference() * 1.05);

@@ -131,7 +131,7 @@ TEST(AsyncStress, ActorPoolSurvivesEarlyDestruction) {
             return rr::ActorPool::Act{};  // always action 0
           },
           opts);
-      actors.release_below(opts.episodes);  // free mode: claim anything
+      actors.release_below(opts.episodes);  // every index claimable
       rr::EpisodeRollout out;
       // Consume a couple of episodes, then destroy the pool with
       // actors still producing.

@@ -81,7 +81,6 @@ void expect_data_eq(const rl::CheckpointData& a, const rl::CheckpointData& b) {
   EXPECT_EQ(a.num_envs, b.num_envs);
   EXPECT_EQ(a.rngs, b.rngs);
   EXPECT_EQ(a.optimizer, b.optimizer);
-  EXPECT_EQ(a.migrated_v1, b.migrated_v1);
 }
 
 }  // namespace
@@ -295,24 +294,31 @@ TEST(Checkpoint, EveryTruncationOffsetOfWeightsBlobIsRejected) {
   EXPECT_TRUE(same_parameters(a, b));
 }
 
-TEST(Checkpoint, LegacyV1FileIsMigratedWithFreshOptimizerState) {
+TEST(Checkpoint, LegacyV1FileIsRejectedNamingTheFormat) {
+  // v1 files are not migrated. A resume that found only one must fail
+  // loudly (never start from scratch) and leave the module untouched.
   const auto dir = scratch_dir("readys-ckpt-v1");
   fs::create_directories(dir);
   Rng rng1(18);
   Rng rng2(19);
   rn::Mlp a({4, 6, 2}, rng1);
   rn::Mlp b({4, 6, 2}, rng2);
+  const auto pristine = rn::serialize_parameters(b);
   write_file(rl::checkpoint_path(dir), "readys-checkpoint v1\nepisode 12\n"
                                        "updates 34\n" +
                                            rn::serialize_parameters(a));
   rl::CheckpointData loaded;
-  ASSERT_TRUE(rl::load_checkpoint(dir, b, loaded));
-  EXPECT_TRUE(loaded.migrated_v1);
-  EXPECT_EQ(loaded.progress.episode, 12);
-  EXPECT_EQ(loaded.progress.updates, 34u);
-  EXPECT_TRUE(loaded.rngs.empty());
-  EXPECT_TRUE(loaded.optimizer.empty());
-  EXPECT_TRUE(same_parameters(a, b));
+  try {
+    rl::load_checkpoint(dir, b, loaded);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("legacy 'readys-checkpoint v1'"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("no longer supported"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(rn::serialize_parameters(b), pristine);
+  EXPECT_EQ(loaded.progress.episode, 0);
   fs::remove_all(dir);
 }
 

@@ -60,9 +60,9 @@ TEST(ConfigVariants, PaperLiteralTrainingStillRuns) {
   cfg.lr = 1e-2;
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs,
-                        {0.2, cfg.window, 1, /*random_offer=*/true});
-  const auto report = trainer.train(env, {.episodes = 6, .sigma = 0.2});
+  rr::VecEnv envs(graph, platform, costs,
+                        {0.2, cfg.window, 1, /*random_offer=*/true}, 1);
+  const auto report = trainer.train(envs, {.episodes = 6, .sigma = 0.2});
   EXPECT_EQ(report.episode_rewards.size(), 6u);
   for (double mk : report.episode_makespans) EXPECT_GT(mk, 0.0);
 }
@@ -106,8 +106,8 @@ TEST(ConfigVariants, NormalizedAdvantageVariantRuns) {
   cfg.normalize_advantage = true;
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  const auto report = trainer.train(env, {.episodes = 4});
+  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
+  const auto report = trainer.train(envs, {.episodes = 4});
   EXPECT_EQ(report.episode_rewards.size(), 4u);
 }
 

@@ -28,8 +28,8 @@ TEST(Ppo, TrainingRunsAndReports) {
   auto cfg = tiny_config();
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::PpoTrainer trainer(net, cfg, {.rollout_episodes = 4, .epochs = 2});
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  const auto report = trainer.train(env, {.episodes = 10});
+  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
+  const auto report = trainer.train(envs, {.episodes = 10});
   EXPECT_EQ(report.episode_rewards.size(), 10u);
   EXPECT_EQ(report.episode_makespans.size(), 10u);
   EXPECT_GE(report.updates, 2u);  // ceil(10 / 4) rounds
@@ -45,8 +45,8 @@ TEST(Ppo, TrainingChangesParameters) {
   std::vector<readys::tensor::Tensor> before;
   for (const auto& p : net.parameters()) before.push_back(p.value());
   rr::PpoTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  trainer.train(env, {.episodes = 8});
+  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
+  trainer.train(envs, {.episodes = 8});
   bool changed = false;
   const auto params = net.parameters();
   for (std::size_t i = 0; i < params.size(); ++i) {
@@ -78,8 +78,9 @@ TEST(Ppo, LearnsTinyInstance) {
   cfg.entropy_beta = 1e-3;
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::PpoTrainer trainer(net, cfg, {.rollout_episodes = 8, .epochs = 4});
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  trainer.train(env, {.episodes = 250});
+  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
+  rr::SchedulingEnv& env = envs.env(0);
+  trainer.train(envs, {.episodes = 250});
   const auto makespans = trainer.evaluate(env, 5, 1000, true);
   EXPECT_LE(readys::util::mean(makespans), env.heft_reference() * 1.05);
 }

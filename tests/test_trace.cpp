@@ -90,4 +90,10 @@ TEST(Trace, ZeroDurationTasksAreValid) {
   t.add({0, 0, 3.0, 3.0});
   t.add({1, 0, 3.0, 3.0});
   EXPECT_EQ(t.validate(g, rs::Platform::cpus(1)), "");
+  // A zero-length task starting at the same instant as a longer one on
+  // the same CPU is not an overlap, whatever the entry order.
+  rs::Trace tie;
+  tie.add({0, 0, 3.0, 5.0});
+  tie.add({1, 0, 3.0, 3.0});
+  EXPECT_EQ(tie.validate(g, rs::Platform::cpus(1)), "");
 }

@@ -1,13 +1,17 @@
 // The batched-rollout contract (docs/api.md): the vectorized pieces —
-// VecEnv, PolicyNet::forward_batched, the vec train() overloads, the
-// scheduler registry, and RunConfig — must reproduce the sequential
-// paths exactly where the API promises it (num_envs = 1, batched
-// forward vs per-graph loop) and deterministically everywhere else.
+// VecEnv, PolicyNet::forward_batched, the training loop behind
+// train(VecEnv&), the scheduler registry, and RunConfig — must match
+// the per-graph paths where the API promises it (batched forward vs
+// per-graph loop), stay deterministic everywhere, and keep the training
+// numerics pinned across commits (TrainingPin).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -15,6 +19,8 @@
 
 #include "core/run_config.hpp"
 #include "dag/cholesky.hpp"
+#include "nn/serialize.hpp"
+#include "obs/obs.hpp"
 #include "rl/a2c.hpp"
 #include "rl/ppo.hpp"
 #include "rl/readys_scheduler.hpp"
@@ -37,7 +43,7 @@ rr::AgentConfig tiny_config() {
   cfg.hidden = 16;
   cfg.gcn_layers = 1;
   cfg.window = 1;
-  cfg.unroll = 0;  // vec training requires whole-episode returns
+  cfg.unroll = 0;  // whole-episode returns
   cfg.lr = 3e-3;
   cfg.seed = 5;
   return cfg;
@@ -245,79 +251,6 @@ TEST(VecEnv, ResetReturnsInitialObservationAndOldSequenceWorks) {
 }
 
 // ---------------------------------------------------------------------
-// num_envs = 1 bit-exactness vs the sequential trainers
-// ---------------------------------------------------------------------
-
-TEST(VecEnv, NumEnvs1A2CMatchesSequentialBitExact) {
-  const auto graph = rd::cholesky_graph(3);
-  const auto platform = rs::Platform::hybrid(1, 1);
-  const auto costs = rs::CostModel::cholesky();
-  const auto cfg = tiny_config();
-  const rr::SchedulingEnv::Config env_cfg{0.1, cfg.window, 9};
-  rr::TrainOptions opts;
-  opts.episodes = 6;
-  opts.sigma = 0.1;
-  opts.seed = 21;
-
-  rr::PolicyNet net_seq(rr::StateEncoder::node_feature_width(4),
-                        rr::StateEncoder::kResourceFeatureWidth, cfg);
-  rr::A2CTrainer seq(net_seq, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, env_cfg);
-  const auto report_seq = seq.train(env, opts);
-
-  rr::PolicyNet net_vec(rr::StateEncoder::node_feature_width(4),
-                        rr::StateEncoder::kResourceFeatureWidth, cfg);
-  rr::A2CTrainer vec(net_vec, cfg);
-  rr::VecEnv envs(graph, platform, costs, env_cfg, 1);
-  const auto report_vec = vec.train(envs, opts);
-
-  expect_reports_equal(report_seq, report_vec);
-  expect_params_equal(net_seq, net_vec);
-}
-
-TEST(VecEnv, NumEnvs1PpoMatchesSequentialBitExact) {
-  const auto graph = rd::cholesky_graph(3);
-  const auto platform = rs::Platform::hybrid(1, 1);
-  const auto costs = rs::CostModel::cholesky();
-  const auto cfg = tiny_config();
-  const rr::SchedulingEnv::Config env_cfg{0.1, cfg.window, 9};
-  rr::TrainOptions opts;
-  opts.episodes = 6;
-  opts.sigma = 0.1;
-  opts.seed = 33;
-
-  rr::PolicyNet net_seq(rr::StateEncoder::node_feature_width(4),
-                        rr::StateEncoder::kResourceFeatureWidth, cfg);
-  rr::PpoTrainer seq(net_seq, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, env_cfg);
-  const auto report_seq = seq.train(env, opts);
-
-  rr::PolicyNet net_vec(rr::StateEncoder::node_feature_width(4),
-                        rr::StateEncoder::kResourceFeatureWidth, cfg);
-  rr::PpoTrainer vec(net_vec, cfg);
-  rr::VecEnv envs(graph, platform, costs, env_cfg, 1);
-  const auto report_vec = vec.train(envs, opts);
-
-  expect_reports_equal(report_seq, report_vec);
-  expect_params_equal(net_seq, net_vec);
-}
-
-TEST(VecEnv, A2CVecTrainingRejectsUnroll) {
-  const auto graph = rd::cholesky_graph(2);
-  const auto platform = rs::Platform::hybrid(1, 1);
-  const auto costs = rs::CostModel::cholesky();
-  auto cfg = tiny_config();
-  cfg.unroll = 16;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                    rr::StateEncoder::kResourceFeatureWidth, cfg);
-  rr::A2CTrainer trainer(net, cfg);
-  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 2);
-  rr::TrainOptions opts;
-  opts.episodes = 2;
-  EXPECT_THROW(trainer.train(envs, opts), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------
 // Multi-env determinism: pooled and serial stepping agree exactly
 // ---------------------------------------------------------------------
 
@@ -361,24 +294,20 @@ TEST(VecEnv, FourEnvTrainingIsReplayDeterministic) {
 namespace {
 
 rr::TrainReport train_a2c_vec(std::size_t width, int episodes,
-                              int updates_per_round) {
+                              int unroll = 0) {
   const auto graph = rd::cholesky_graph(4);
   const auto platform = rs::Platform::hybrid(2, 2);
   const auto costs = rs::CostModel::cholesky();
-  const auto cfg = tiny_config();
+  auto cfg = tiny_config();
+  cfg.unroll = unroll;
   const rr::SchedulingEnv::Config env_cfg{0.1, cfg.window, 9};
   rr::TrainOptions opts;
   opts.episodes = episodes;
   opts.sigma = 0.1;
   opts.seed = 21;
-  opts.updates_per_round = updates_per_round;
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
                     rr::StateEncoder::kResourceFeatureWidth, cfg);
   rr::A2CTrainer trainer(net, cfg);
-  if (width == 1) {
-    rr::SchedulingEnv env(graph, platform, costs, env_cfg);
-    return trainer.train(env, opts);
-  }
   rr::VecEnv envs(graph, platform, costs, env_cfg, width);
   return trainer.train(envs, opts);
 }
@@ -386,49 +315,65 @@ rr::TrainReport train_a2c_vec(std::size_t width, int episodes,
 }  // namespace
 
 TEST(VecCadence, UpdateCountMatchesEpisodesAtAnyWidth) {
-  // The fixed default (updates_per_round = 0): one gradient step per
-  // episode, exactly like the sequential trainer, at any width.
-  EXPECT_EQ(train_a2c_vec(4, 16, 0).updates, 16u);
-  EXPECT_EQ(train_a2c_vec(8, 16, 0).updates, 16u);
-  // The legacy cadence is still reachable explicitly, and still means
-  // what it used to: one update per width-N round.
-  EXPECT_EQ(train_a2c_vec(8, 16, 1).updates, 2u);
-  EXPECT_EQ(train_a2c_vec(4, 16, 1).updates, 4u);
-  // Intermediate grouping: 2 groups per round.
-  EXPECT_EQ(train_a2c_vec(8, 16, 2).updates, 4u);
+  // One gradient step per episode, exactly like width 1, at any width.
+  EXPECT_EQ(train_a2c_vec(4, 16).updates, 16u);
+  EXPECT_EQ(train_a2c_vec(8, 16).updates, 16u);
+}
+
+TEST(VecCadence, UnrollSplitsEachEpisodeIntoSegmentUpdates) {
+  // unroll > 0 works at any width: each finished episode is split into
+  // segments of at most `unroll` decisions, one update each. The
+  // episodes' decision counts come from the telemetry episode rows.
+  const auto metrics =
+      (std::filesystem::temp_directory_path() / "readys-unroll.jsonl")
+          .string();
+  readys::obs::TelemetryConfig tcfg;
+  tcfg.metrics_path = metrics;
+  ASSERT_TRUE(readys::obs::install(tcfg));
+  const int unroll = 7;
+  const auto report = train_a2c_vec(2, 6, unroll);
+  readys::obs::shutdown();
+
+  std::ifstream in(metrics);
+  std::string line;
+  std::size_t rows = 0;
+  std::size_t expected_updates = 0;
+  const std::string key = "\"decisions\":";
+  while (std::getline(in, line)) {
+    if (line.find("\"row\":\"episode\"") == std::string::npos) continue;
+    EXPECT_NE(line.find("\"envs\":2"), std::string::npos) << line;
+    const std::size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << line;
+    const std::size_t steps = std::stoul(line.substr(at + key.size()));
+    expected_updates += (steps + unroll - 1) / unroll;
+    ++rows;
+  }
+  std::filesystem::remove(metrics);
+  EXPECT_EQ(rows, 6u);
+  EXPECT_EQ(report.skipped_updates, 0u);
+  EXPECT_EQ(report.updates, expected_updates);
+  EXPECT_GT(report.updates, 6u);  // the split really happened
 }
 
 TEST(VecCadence, Width4And8FinalRewardTracksSequential) {
   const int episodes = 96;
-  const auto seq = train_a2c_vec(1, episodes, 0);
-  const auto vec4 = train_a2c_vec(4, episodes, 0);
-  const auto vec8 = train_a2c_vec(8, episodes, 0);
+  const auto seq = train_a2c_vec(1, episodes);
+  const auto vec4 = train_a2c_vec(4, episodes);
+  const auto vec8 = train_a2c_vec(8, episodes);
   ASSERT_EQ(seq.episode_rewards.size(), static_cast<std::size_t>(episodes));
   // Same number of Adam steps => same learning budget; the final reward
-  // must land in the sequential run's neighborhood, not an order of
+  // must land in the width-1 run's neighborhood, not an order of
   // magnitude below it. The band is deliberately loose (trajectories
   // differ, these are stochastic runs) — the collapse this guards
   // against was a 10x gap, not a 50% one.
   const double floor = seq.final_mean_reward -
                        (0.75 * std::fabs(seq.final_mean_reward) + 0.25);
   EXPECT_GT(vec4.final_mean_reward, floor)
-      << "vec4 " << vec4.final_mean_reward << " vs sequential "
+      << "vec4 " << vec4.final_mean_reward << " vs width 1 "
       << seq.final_mean_reward;
   EXPECT_GT(vec8.final_mean_reward, floor)
-      << "vec8 " << vec8.final_mean_reward << " vs sequential "
+      << "vec8 " << vec8.final_mean_reward << " vs width 1 "
       << seq.final_mean_reward;
-}
-
-TEST(VecCadence, LegacyCoarseCadenceIsMeasurablyWorse) {
-  // The pre-fix behavior, kept reachable via updates_per_round = 1:
-  // 12 updates instead of 96 must learn measurably less on the same
-  // episode budget. If this starts passing the fixed cadence's band,
-  // the fingerprint (and the bench cell) needs re-examining.
-  const int episodes = 96;
-  const auto fixed = train_a2c_vec(8, episodes, 0);
-  const auto coarse = train_a2c_vec(8, episodes, 1);
-  EXPECT_EQ(coarse.updates, 12u);
-  EXPECT_LT(coarse.final_mean_reward, fixed.final_mean_reward);
 }
 
 // ---------------------------------------------------------------------
@@ -442,8 +387,7 @@ struct AsyncRun {
   std::unique_ptr<rr::PolicyNet> net;
 };
 
-AsyncRun train_a2c_async(std::size_t width, int episodes, bool strict,
-                         int actors) {
+AsyncRun train_a2c_async(std::size_t width, int episodes, int actors) {
   const auto graph = rd::cholesky_graph(3);
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
@@ -454,7 +398,6 @@ AsyncRun train_a2c_async(std::size_t width, int episodes, bool strict,
   opts.sigma = 0.1;
   opts.seed = 21;
   opts.async = true;
-  opts.async_strict = strict;
   opts.async_actors = actors;
   opts.async_batch = 1;
   AsyncRun run;
@@ -471,29 +414,101 @@ AsyncRun train_a2c_async(std::size_t width, int episodes, bool strict,
 
 TEST(AsyncTrain, StrictModeIsRunToRunDeterministic) {
   // Two independent runs with multiple actor threads: identical episode
-  // streams, rewards, and final weights — the whole point of
-  // --async-strict. (Actor threads race for episode claims, but strict
-  // windows park them during updates and the learner sorts by index.)
-  const auto a = train_a2c_async(4, 12, /*strict=*/true, /*actors=*/2);
-  const auto b = train_a2c_async(4, 12, /*strict=*/true, /*actors=*/2);
+  // streams, rewards, and final weights. (Actor threads race for episode
+  // claims, but train() releases only the episodes it is about to
+  // learn from, parking them during updates, and sorts by index.)
+  const auto a = train_a2c_async(4, 12, /*actors=*/2);
+  const auto b = train_a2c_async(4, 12, /*actors=*/2);
   expect_reports_equal(a.report, b.report);
   expect_params_equal(*a.net, *b.net);
   EXPECT_EQ(a.report.episode_rewards.size(), 12u);
   EXPECT_EQ(a.report.updates, 12u);
 }
 
-TEST(AsyncTrain, FreeModeTrainsEveryEpisodeExactlyOnce) {
-  // Free mode trades determinism for overlap, but never episode
-  // accounting: every index trains exactly once, per-episode cadence,
-  // finite rewards, real makespans.
-  const auto run = train_a2c_async(4, 12, /*strict=*/false, /*actors=*/4);
-  EXPECT_EQ(run.report.episode_rewards.size(), 12u);
-  EXPECT_EQ(run.report.updates, 12u);
-  EXPECT_GT(run.report.best_makespan, 0.0);
-  for (double r : run.report.episode_rewards) {
-    EXPECT_TRUE(std::isfinite(r));
+// ---------------------------------------------------------------------
+// Cross-commit training pin: the lockstep (width >= 2) and async paths
+// are fingerprinted end to end — every episode's reward and makespan, the
+// update counters, and the final weights. The constants were recorded
+// before the trainers were folded into one training loop and hold in
+// both -DREADYS_NATIVE_ARCH=ON and OFF builds; a mismatch means a
+// refactor changed training numerics.
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
   }
-  EXPECT_TRUE(std::isfinite(run.report.final_mean_reward));
+  return h;
+}
+
+std::uint64_t training_hash(const rr::TrainReport& report,
+                            const rr::PolicyNet& net) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (double r : report.episode_rewards) h = fnv1a(h, &r, sizeof(r));
+  for (double m : report.episode_makespans) h = fnv1a(h, &m, sizeof(m));
+  const std::uint64_t counters[] = {report.updates, report.skipped_updates};
+  h = fnv1a(h, counters, sizeof(counters));
+  const std::string weights = readys::nn::serialize_parameters(net);
+  return fnv1a(h, weights.data(), weights.size());
+}
+
+enum class PinTrainer { kA2c, kPpo };
+
+std::uint64_t pinned_run(PinTrainer which, bool async) {
+  const auto graph = rd::cholesky_graph(3);
+  const auto platform = rs::Platform::hybrid(1, 1);
+  const auto costs = rs::CostModel::cholesky();
+  const auto cfg = tiny_config();
+  const rr::SchedulingEnv::Config env_cfg{0.1, cfg.window, 9};
+  rr::TrainOptions opts;
+  opts.episodes = 12;
+  opts.sigma = 0.1;
+  opts.seed = 21;
+  opts.async = async;
+  opts.async_actors = (async && which == PinTrainer::kA2c) ? 2 : 0;
+  opts.async_batch = 1;
+  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
+                    rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::VecEnv envs(graph, platform, costs, env_cfg, 4);
+  rr::TrainReport report;
+  if (which == PinTrainer::kA2c) {
+    rr::A2CTrainer trainer(net, cfg);
+    report = trainer.train(envs, opts);
+  } else {
+    rr::PpoConfig ppo;
+    ppo.rollout_episodes = 4;
+    ppo.minibatch = 16;
+    rr::PpoTrainer trainer(net, cfg, ppo);
+    report = trainer.train(envs, opts);
+  }
+  EXPECT_EQ(report.episode_rewards.size(), 12u);
+  return training_hash(report, net);
+}
+
+}  // namespace
+
+TEST(TrainingPin, A2cVec4MatchesRecordedFingerprint) {
+  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/false),
+            6341448210998224345ULL);
+}
+
+TEST(TrainingPin, PpoVec4MatchesRecordedFingerprint) {
+  EXPECT_EQ(pinned_run(PinTrainer::kPpo, /*async=*/false),
+            15364996581688326263ULL);
+}
+
+TEST(TrainingPin, A2cAsync4MatchesRecordedFingerprint) {
+  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/true),
+            8462888407090456584ULL);
+}
+
+TEST(TrainingPin, PpoAsync4MatchesRecordedFingerprint) {
+  EXPECT_EQ(pinned_run(PinTrainer::kPpo, /*async=*/true),
+            6757788872011778008ULL);
 }
 
 // ---------------------------------------------------------------------
