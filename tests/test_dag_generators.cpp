@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/apps.hpp"
 #include "dag/cholesky.hpp"
 #include "dag/lu.hpp"
@@ -64,26 +66,34 @@ TEST(TaskGraph, TopologicalOrderRespectsEdges) {
 
 // --- paper anchors: Cholesky task counts quoted in §V-F ---
 
+// CountCase has no printer, so gtest names each case after the raw bytes of
+// its parameter. The four bytes after `tiles` used to be uninitialised padding,
+// which made the case names change from build to build. They are now an explicit
+// field holding the bytes the cases were first recorded under, so every byte is
+// initialised and the names stay fixed.
 struct CountCase {
   int tiles;
+  std::uint32_t name_bytes;
   std::size_t tasks;
 };
+static_assert(sizeof(CountCase) == 16, "case names are the 16 parameter bytes");
 
 class CholeskyCounts : public ::testing::TestWithParam<CountCase> {};
 
 TEST_P(CholeskyCounts, MatchesPaperNumbers) {
-  const auto [tiles, tasks] = GetParam();
-  const auto g = rd::cholesky_graph(tiles);
-  EXPECT_EQ(g.num_tasks(), tasks);
+  const CountCase c = GetParam();
+  const auto g = rd::cholesky_graph(c.tiles);
+  EXPECT_EQ(g.num_tasks(), c.tasks);
   EXPECT_EQ(g.num_tasks(),
-            rc::expected_task_count(rc::App::kCholesky, tiles));
+            rc::expected_task_count(rc::App::kCholesky, c.tiles));
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperSizes, CholeskyCounts,
-                         ::testing::Values(CountCase{4, 20}, CountCase{6, 56},
-                                           CountCase{8, 120},
-                                           CountCase{10, 220},
-                                           CountCase{12, 364}));
+                         ::testing::Values(CountCase{4, 0, 20},
+                                           CountCase{6, 0x00091E03u, 56},
+                                           CountCase{8, 0xCAD00000u, 120},
+                                           CountCase{10, 0, 220},
+                                           CountCase{12, 0, 364}));
 
 class GeneratorStructure
     : public ::testing::TestWithParam<std::tuple<rc::App, int>> {};
