@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_sim.hpp"
@@ -31,6 +35,26 @@ namespace rx = readys::sched;
 namespace ru = readys::util;
 
 namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t trace_hash(const rs::Trace& trace) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& e : trace.entries()) {
+    h = fnv1a(h, &e.task, sizeof(e.task));
+    h = fnv1a(h, &e.resource, sizeof(e.resource));
+    h = fnv1a(h, &e.start, sizeof(e.start));
+    h = fnv1a(h, &e.finish, sizeof(e.finish));
+  }
+  return h;
+}
 
 std::unique_ptr<rc::ShardScheduler> make_shard_mct(
     rc::ShardScheduler::Options opts) {
@@ -354,4 +378,135 @@ TEST(ClusterSched, ShardCountClampsToPlatform) {
   const auto r = sim.run(*sched);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
   EXPECT_EQ(sched->num_shards(), 2);
+}
+
+// Cross-commit pin of the shard scheduler: trace hash, makespan and
+// every coordinator counter of a fixed grid of runs, recorded once and
+// compared bit-for-bit. A change to the engine, the scoped views or the
+// coordinator that moves any decision shows up here. The constants must
+// hold in both READYS_NATIVE_ARCH=ON and OFF builds.
+namespace {
+
+struct ShardFingerprint {
+  std::uint64_t trace;
+  double makespan;
+  std::size_t steals;
+  std::size_t stolen_tasks;
+  std::size_t rescue_fallbacks;
+  std::size_t dropped_assignments;
+  std::uint64_t hb_transitions;
+};
+
+bool operator==(const ShardFingerprint& a, const ShardFingerprint& b) {
+  return a.trace == b.trace && a.makespan == b.makespan &&
+         a.steals == b.steals && a.stolen_tasks == b.stolen_tasks &&
+         a.rescue_fallbacks == b.rescue_fallbacks &&
+         a.dropped_assignments == b.dropped_assignments &&
+         a.hb_transitions == b.hb_transitions;
+}
+
+std::string format_fingerprint(const ShardFingerprint& f) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{0x%016llxULL, %a, %zu, %zu, %zu, %zu, %llu}",
+                static_cast<unsigned long long>(f.trace), f.makespan,
+                f.steals, f.stolen_tasks, f.rescue_fallbacks,
+                f.dropped_assignments,
+                static_cast<unsigned long long>(f.hb_transitions));
+  return buf;
+}
+
+ShardFingerprint run_fingerprint(rc::ShardScheduler& sched,
+                                 std::uint64_t seed,
+                                 std::optional<rs::CommModel> comm,
+                                 std::optional<rs::FaultModel> faults) {
+  const auto graph = rd::cholesky_graph(8);
+  const auto costs = rs::CostModel::cholesky();
+  const auto platform = rs::Platform::hybrid(8, 8);
+  const int k = sched.options().shards;
+  const rc::ClusterSimulator::Options opt{0.1, seed, k, comm, faults};
+  const auto r = rc::ClusterSimulator(graph, platform, costs, opt).run(sched);
+  EXPECT_EQ(r.trace.validate(graph, platform), "");
+  return {trace_hash(r.trace),        r.makespan,
+          sched.steals(),             sched.stolen_tasks(),
+          sched.rescue_fallbacks(),   sched.dropped_assignments(),
+          sched.heartbeat().total_transitions()};
+}
+
+rs::FaultModel pin_faults() {
+  rs::FaultModel faults;
+  faults.outage_rate = 0.002;
+  faults.mean_downtime = 60.0;
+  faults.slowdown_rate = 0.004;
+  faults.mean_slowdown = 30.0;
+  faults.slowdown_factor = 2.0;
+  faults.task_failure_prob = 0.02;
+  return faults;
+}
+
+// Order: configuration {plain, faults, pcie comm} x seed {1, 5} x
+// K {2, 4, 8}, then the guarded:mct run.
+const ShardFingerprint kShardPin[] = {
+    {0xacd4124e34fa1475ULL, 0x1.86cf9e9dbd905p+7, 26, 32, 0, 13, 0},
+    {0xbbe32303f0169a12ULL, 0x1.a0c9dd350d5c5p+7, 61, 75, 0, 40, 0},
+    {0x88330b2d26a10958ULL, 0x1.e253233dfcb1fp+7, 98, 113, 0, 61, 0},
+    {0xd92f8ab9b93a3109ULL, 0x1.8e680bf3cb6ffp+7, 27, 36, 0, 14, 0},
+    {0xbd20046fbb84339eULL, 0x1.852ee55c667b2p+7, 60, 78, 0, 30, 0},
+    {0xa4738f7a19c486c3ULL, 0x1.d303a0f665fe7p+7, 111, 128, 0, 62, 0},
+    {0x4b94d72c3fa66a2bULL, 0x1.c75f6fbd4170bp+7, 26, 40, 0, 19, 15},
+    {0xd9b661d49bfd18e7ULL, 0x1.efff5cece8298p+7, 53, 73, 0, 29, 19},
+    {0x3f48e5b947691470ULL, 0x1.56a16fb799f64p+8, 102, 116, 0, 62, 25},
+    {0x2d55477a27e64c40ULL, 0x1.a81dc3dbb85c5p+7, 24, 32, 0, 11, 18},
+    {0x6596d66c4192fc47ULL, 0x1.a8ba153c2a80cp+7, 65, 86, 0, 32, 20},
+    {0x5d4f4cd4521d627bULL, 0x1.2fe1fcfe3a707p+8, 113, 129, 0, 64, 24},
+    {0x04cbf15631169e5cULL, 0x1.b35702a88621cp+7, 26, 39, 0, 17, 0},
+    {0xe929b7ead365c9a8ULL, 0x1.b89a712ddd8f2p+7, 55, 70, 0, 25, 0},
+    {0x674542d06d6a1792ULL, 0x1.f7693a416e96ep+7, 119, 132, 0, 73, 0},
+    {0xf24049eeea818808ULL, 0x1.9dbf714fd188ap+7, 32, 43, 0, 19, 0},
+    {0x9b661678ab20ac58ULL, 0x1.c7166d0822fe8p+7, 61, 82, 0, 33, 0},
+    {0x9d525cdf240552dbULL, 0x1.0bce21a157845p+8, 107, 123, 0, 64, 0},
+    {0xbd20046fbb84339eULL, 0x1.852ee55c667b2p+7, 60, 78, 0, 30, 0},
+};
+
+}  // namespace
+
+TEST(ShardPin, MatchesRecordedFingerprint) {
+  std::vector<ShardFingerprint> got;
+  const std::optional<rs::CommModel> no_comm;
+  const std::optional<rs::FaultModel> no_faults;
+  for (int config = 0; config < 3; ++config) {
+    for (const std::uint64_t seed : {1ull, 5ull}) {
+      for (const int k : {2, 4, 8}) {
+        rc::ShardScheduler::Options opts;
+        opts.shards = k;
+        auto sched = make_shard_mct(opts);
+        got.push_back(run_fingerprint(
+            *sched, seed,
+            config == 2 ? std::optional(rs::CommModel::pcie_like()) : no_comm,
+            config == 1 ? std::optional(pin_faults()) : no_faults));
+      }
+    }
+  }
+  // The configuration of GuardedInnersSurviveStealInterleavings.
+  std::vector<std::unique_ptr<rs::Scheduler>> inners;
+  for (int s = 0; s < 4; ++s) {
+    inners.push_back(std::make_unique<rx::GuardedScheduler>(
+        std::make_unique<rx::MctScheduler>()));
+  }
+  rc::ShardScheduler::Options opts;
+  opts.shards = 4;
+  rc::ShardScheduler guarded(std::move(inners), opts, "guarded:mct");
+  got.push_back(run_fingerprint(guarded, 5, no_comm, no_faults));
+
+  const std::size_t expected = std::size(kShardPin);
+  ASSERT_EQ(got.size(), expected) << [&] {
+    std::string all;
+    for (const auto& f : got) all += "    " + format_fingerprint(f) + ",\n";
+    return all;
+  }();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == kShardPin[i])
+        << "run " << i << ": got " << format_fingerprint(got[i])
+        << ", recorded " << format_fingerprint(kShardPin[i]);
+  }
 }
