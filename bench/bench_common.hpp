@@ -170,7 +170,8 @@ inline std::unique_ptr<rl::ReadysAgent> train_agent(
 inline core::SchedulerFactory agent_factory(const rl::ReadysAgent& agent) {
   return [&agent](std::uint64_t seed) {
     return std::make_unique<rl::ReadysScheduler>(
-        agent.net(), agent.config().window, /*greedy=*/true, seed);
+        agent.net(), agent.config().window,
+        rl::ReadysOptions{.greedy = true, .seed = seed});
   };
 }
 

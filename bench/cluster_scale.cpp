@@ -22,8 +22,8 @@
 //   READYS_BENCH_EPISODES   fixed episode count per cell (0 = time-target)
 //   READYS_BENCH_SIGMA      duration noise level (0.1)
 //
-// K=1 runs plain MCT under a single-shard ClusterSimulator — the
-// bit-exactness suite guarantees that is the centralized baseline.
+// Every cell runs on sim::Simulator; K=1 is plain MCT, the centralized
+// baseline.
 
 #include <chrono>
 #include <cstdio>
@@ -82,11 +82,7 @@ Cell run_cell(const dag::TaskGraph& graph, const sim::Platform& platform,
 
   {  // Warm-up: touches cold memory, builds the partition and monitors.
     auto sched = make(1);
-    cluster::ClusterSimulator::Options opt;
-    opt.sigma = sigma;
-    opt.seed = 1;
-    opt.shards = shards;
-    cluster::ClusterSimulator sim(graph, platform, costs, opt);
+    sim::Simulator sim(graph, platform, costs, {sigma, 1});
     sim.run(*sched);
   }
 
@@ -97,11 +93,7 @@ Cell run_cell(const dag::TaskGraph& graph, const sim::Platform& platform,
                             : elapsed < min_seconds) {
     const std::uint64_t seed = static_cast<std::uint64_t>(cell.episodes) + 1;
     auto sched = make(seed);
-    cluster::ClusterSimulator::Options opt;
-    opt.sigma = sigma;
-    opt.seed = seed;
-    opt.shards = shards;
-    cluster::ClusterSimulator sim(graph, platform, costs, opt);
+    sim::Simulator sim(graph, platform, costs, {sigma, seed});
     makespan_acc += sim.run(*sched).makespan;
     if (const auto* ss =
             dynamic_cast<const cluster::ShardScheduler*>(sched.get())) {

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   const int runs = 5;
   auto readys_factory = [&](std::uint64_t seed) {
     return std::make_unique<rl::ReadysScheduler>(
-        agent.net(), cfg.window, /*greedy=*/true, seed);
+        agent.net(), cfg.window,
+        rl::ReadysOptions{.greedy = true, .seed = seed});
   };
   util::Table table({"scheduler", "mean makespan (ms)", "vs HEFT"});
   const auto heft = util::summarize(core::evaluate_makespans(

@@ -83,15 +83,15 @@ int usage() {
   return 2;
 }
 
-/// Whole-string integer parse for `readys_cli train`: "12x", "" or an
-/// out-of-range value is reported with the argument's name, never
+/// Whole-string integer parse for every numeric argument: "12x", "" or
+/// an out-of-range value is reported with the argument's name, never
 /// truncated the way atoi would.
-bool parse_int_arg(const char* name, const char* text, int& out) {
+template <typename Int>
+bool parse_int_arg(const char* name, const char* text, Int& out) {
   const char* end = text + std::strlen(text);
   const auto [ptr, ec] = std::from_chars(text, end, out);
   if (ec != std::errc() || ptr != end || ptr == text) {
-    std::fprintf(stderr, "train: %s must be an integer, got '%s'\n", name,
-                 text);
+    std::fprintf(stderr, "%s must be an integer, got '%s'\n", name, text);
     return false;
   }
   return true;
@@ -103,12 +103,19 @@ bool parse_double_arg(const char* name, const char* text, double& out) {
   errno = 0;
   const double v = std::strtod(text, &end);
   if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
-    std::fprintf(stderr, "train: %s must be a number, got '%s'\n", name,
-                 text);
+    std::fprintf(stderr, "%s must be a number, got '%s'\n", name, text);
     return false;
   }
   out = v;
   return true;
+}
+
+/// The `<tiles> <ncpu> <ngpu>` positionals shared by the per-DAG
+/// subcommands, at argv[3..5].
+bool parse_shape_args(char** argv, int& tiles, int& ncpu, int& ngpu) {
+  return parse_int_arg("tiles", argv[3], tiles) &&
+         parse_int_arg("ncpu", argv[4], ncpu) &&
+         parse_int_arg("ngpu", argv[5], ngpu);
 }
 
 int cmd_train(int argc, char** argv) {
@@ -123,9 +130,7 @@ int cmd_train(int argc, char** argv) {
   } else {
     if (argc < 9) return usage();
     cfg.app = argv[2];
-    if (!parse_int_arg("tiles", argv[3], cfg.tiles) ||
-        !parse_int_arg("ncpu", argv[4], cfg.ncpu) ||
-        !parse_int_arg("ngpu", argv[5], cfg.ngpu) ||
+    if (!parse_shape_args(argv, cfg.tiles, cfg.ncpu, cfg.ngpu) ||
         !parse_int_arg("episodes", argv[6], cfg.episodes) ||
         !parse_double_arg("sigma", argv[7], cfg.sigma)) {
       return 2;
@@ -229,7 +234,8 @@ int cmd_train(int argc, char** argv) {
       // One greedy rollout of the trained policy under the simulator so
       // the trace file shows the simulated schedule (pid 1) next to the
       // wall-clock training spans (pid 2) in the same Perfetto view.
-      rl::ReadysScheduler policy(agent.net(), agent.config().window);
+      rl::ReadysScheduler policy(agent.net(), agent.config().window,
+                                 rl::ReadysOptions{});
       sim::Simulator sim(graph, platform, costs, {cfg.sigma, opts.seed});
       const auto rollout = sim.run(policy);
       t->add_trace_fragment(
@@ -250,13 +256,17 @@ int cmd_train(int argc, char** argv) {
 
 int cmd_evaluate(int argc, char** argv) {
   if (argc < 8) return usage();
+  int tiles = 0, ncpu = 0, ngpu = 0, runs = 5;
+  double sigma = 0.0;
+  if (!parse_shape_args(argv, tiles, ncpu, ngpu) ||
+      !parse_double_arg("sigma", argv[6], sigma) ||
+      (argc > 8 && !parse_int_arg("runs", argv[8], runs))) {
+    return 2;
+  }
   const auto app = core::parse_app(argv[2]);
-  const auto graph = core::make_graph(app, std::atoi(argv[3]));
-  const auto platform =
-      sim::Platform::hybrid(std::atoi(argv[4]), std::atoi(argv[5]));
+  const auto graph = core::make_graph(app, tiles);
+  const auto platform = sim::Platform::hybrid(ncpu, ngpu);
   const auto costs = core::make_costs(app);
-  const double sigma = std::atof(argv[6]);
-  const int runs = argc > 8 ? std::atoi(argv[8]) : 5;
 
   rl::ReadysAgent agent(graph.num_kernel_types(), rl::AgentConfig{});
   agent.load(argv[7]);
@@ -272,13 +282,17 @@ int cmd_evaluate(int argc, char** argv) {
 
 int cmd_compare(int argc, char** argv) {
   if (argc < 7) return usage();
+  int tiles = 0, ncpu = 0, ngpu = 0, runs = 10;
+  double sigma = 0.0;
+  if (!parse_shape_args(argv, tiles, ncpu, ngpu) ||
+      !parse_double_arg("sigma", argv[6], sigma) ||
+      (argc > 7 && !parse_int_arg("runs", argv[7], runs))) {
+    return 2;
+  }
   const auto app = core::parse_app(argv[2]);
-  const auto graph = core::make_graph(app, std::atoi(argv[3]));
-  const auto platform =
-      sim::Platform::hybrid(std::atoi(argv[4]), std::atoi(argv[5]));
+  const auto graph = core::make_graph(app, tiles);
+  const auto platform = sim::Platform::hybrid(ncpu, ngpu);
   const auto costs = core::make_costs(app);
-  const double sigma = std::atof(argv[6]);
-  const int runs = argc > 7 ? std::atoi(argv[7]) : 10;
 
   util::ThreadPool pool;
   util::Table table({"scheduler", "mean (ms)", "ci95", "min", "max"});
@@ -299,14 +313,18 @@ int cmd_compare(int argc, char** argv) {
 
 int cmd_gantt(int argc, char** argv) {
   if (argc < 7) return usage();
+  int tiles = 0, ncpu = 0, ngpu = 0;
+  double sigma = 0.0;
+  if (!parse_shape_args(argv, tiles, ncpu, ngpu) ||
+      (argc > 7 && !parse_double_arg("sigma", argv[7], sigma))) {
+    return 2;
+  }
   const auto app = core::parse_app(argv[2]);
-  const auto graph = core::make_graph(app, std::atoi(argv[3]));
-  const auto platform =
-      sim::Platform::hybrid(std::atoi(argv[4]), std::atoi(argv[5]));
+  const auto graph = core::make_graph(app, tiles);
+  const auto platform = sim::Platform::hybrid(ncpu, ngpu);
   const auto costs = core::make_costs(app);
   // Throws with the list of registered names on an unknown scheduler.
   auto scheduler = sched::make_scheduler(argv[6]);
-  const double sigma = argc > 7 ? std::atof(argv[7]) : 0.0;
 
   sim::Simulator sim(graph, platform, costs, {sigma, 42});
   const auto result = sim.run(*scheduler);
@@ -319,8 +337,10 @@ int cmd_gantt(int argc, char** argv) {
 
 int cmd_dot(int argc, char** argv) {
   if (argc < 5) return usage();
+  int tiles = 0;
+  if (!parse_int_arg("tiles", argv[3], tiles)) return 2;
   const auto app = core::parse_app(argv[2]);
-  const auto graph = core::make_graph(app, std::atoi(argv[3]));
+  const auto graph = core::make_graph(app, tiles);
   dag::write_dot(graph, argv[4]);
   std::printf("%s (%zu tasks, %zu edges) -> %s\n", graph.name().c_str(),
               graph.num_tasks(), graph.num_edges(), argv[4]);
@@ -353,42 +373,44 @@ int cmd_serve_bench(int argc, char** argv) {
     cfg = core::RunConfig::from_file(argv[3]);
     i = 4;
   }
+  bool ok = true;
   for (; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--sessions" && i + 1 < argc) {
-      cfg.serve_sessions = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_sessions);
     } else if (flag == "--rate" && i + 1 < argc) {
-      cfg.serve_rate = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_rate);
     } else if (flag == "--queue" && i + 1 < argc) {
-      cfg.serve_queue = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_queue);
     } else if (flag == "--active" && i + 1 < argc) {
-      cfg.serve_active = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_active);
     } else if (flag == "--workers" && i + 1 < argc) {
-      cfg.serve_workers = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_workers);
     } else if (flag == "--deadline-us" && i + 1 < argc) {
-      cfg.serve_deadline_us = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_deadline_us);
     } else if (flag == "--retries" && i + 1 < argc) {
-      cfg.serve_retries = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_retries);
     } else if (flag == "--backend" && i + 1 < argc) {
       cfg.inference_backend = argv[++i];
     } else if (flag == "--arrival" && i + 1 < argc) {
       cfg.serve_arrival = argv[++i];
     } else if (flag == "--burst-factor" && i + 1 < argc) {
-      cfg.serve_burst_factor = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_burst_factor);
     } else if (flag == "--pareto-alpha" && i + 1 < argc) {
-      cfg.serve_pareto_alpha = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_pareto_alpha);
     } else if (flag == "--tenant-rate" && i + 1 < argc) {
-      cfg.serve_tenant_rate = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_tenant_rate);
     } else if (flag == "--tenant-burst" && i + 1 < argc) {
-      cfg.serve_tenant_burst = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_tenant_burst);
     } else if (flag == "--restart-budget" && i + 1 < argc) {
-      cfg.serve_restart_budget = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_restart_budget);
     } else if (flag == "--reload-watch" && i + 1 < argc) {
       cfg.serve_reload_watch = argv[++i];
     } else {
       std::fprintf(stderr, "unknown serve-bench option '%s'\n", flag.c_str());
       return usage();
     }
+    if (!ok) return 2;
   }
   cfg.validate();
   cfg.agent.seed = cfg.seed;
@@ -501,8 +523,8 @@ int cmd_serve_bench(int argc, char** argv) {
   return 0;
 }
 
-// Episodes of one DAG under the sharded simulation core with the
-// decentralized shard:<inner> scheduler family, RunConfig-driven.
+// Episodes of one DAG under sim::Simulator with the decentralized
+// shard:<inner> scheduler family, RunConfig-driven.
 // Prints makespan plus the cluster counters (steals, heartbeat
 // transitions, rescues, dropped proposals); the committed P x K scaling
 // sweep lives in bench/cluster_scale.
@@ -515,38 +537,39 @@ int cmd_cluster_bench(int argc, char** argv) {
     cfg = core::RunConfig::from_file(argv[3]);
     i = 4;
   }
+  bool ok = true;
   for (; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--app" && i + 1 < argc) {
       cfg.app = argv[++i];
     } else if (flag == "--tiles" && i + 1 < argc) {
-      cfg.tiles = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.tiles);
     } else if (flag == "--ncpu" && i + 1 < argc) {
-      cfg.ncpu = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.ncpu);
     } else if (flag == "--ngpu" && i + 1 < argc) {
-      cfg.ngpu = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.ngpu);
     } else if (flag == "--sigma" && i + 1 < argc) {
-      cfg.sigma = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.sigma);
     } else if (flag == "--scheduler" && i + 1 < argc) {
       cfg.scheduler = argv[++i];
     } else if (flag == "--runs" && i + 1 < argc) {
-      runs = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], runs);
     } else if (flag == "--seed" && i + 1 < argc) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.seed);
     } else if (flag == "--shards" && i + 1 < argc) {
-      cfg.cluster_shards = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.cluster_shards);
     } else if (flag == "--stale-ms" && i + 1 < argc) {
-      cfg.cluster_stale_ms = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.cluster_stale_ms);
     } else if (flag == "--hb-ms" && i + 1 < argc) {
-      cfg.cluster_hb_ms = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.cluster_hb_ms);
     } else if (flag == "--parallel" && i + 1 < argc) {
-      cfg.cluster_parallel = std::atoi(argv[++i]);
+      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.cluster_parallel);
     } else if (flag == "--comm-tile-bytes" && i + 1 < argc) {
-      cfg.comm_tile_bytes = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.comm_tile_bytes);
     } else if (flag == "--comm-bandwidth" && i + 1 < argc) {
-      cfg.comm_bandwidth = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.comm_bandwidth);
     } else if (flag == "--comm-latency-ms" && i + 1 < argc) {
-      cfg.comm_latency_ms = std::atof(argv[++i]);
+      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.comm_latency_ms);
     } else if (flag == "--backend" && i + 1 < argc) {
       cfg.inference_backend = argv[++i];
     } else {
@@ -554,6 +577,7 @@ int cmd_cluster_bench(int argc, char** argv) {
                    flag.c_str());
       return usage();
     }
+    if (!ok) return 2;
   }
   cfg.validate();
   if (runs < 1) runs = 1;
@@ -594,12 +618,11 @@ int cmd_cluster_bench(int argc, char** argv) {
     sc.seed = cfg.seed + static_cast<std::uint64_t>(run);
     auto scheduler = sched::make_scheduler(spec, sc);
     sched_name = scheduler->name();
-    cluster::ClusterSimulator::Options opt;
+    sim::Simulator::Options opt;
     opt.sigma = cfg.sigma;
     opt.seed = cfg.seed + static_cast<std::uint64_t>(run);
-    opt.shards = cfg.cluster_shards;
     if (cfg.has_comm()) opt.comm = cfg.make_comm();
-    cluster::ClusterSimulator sim(graph, platform, costs, opt);
+    sim::Simulator sim(graph, platform, costs, opt);
     const auto r = sim.run(*scheduler);
     mks.push_back(r.makespan);
     tasks_done += r.trace.size();

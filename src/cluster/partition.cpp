@@ -14,7 +14,6 @@ Partition Partition::by_type_round_robin(const sim::Platform& platform,
         "-resource platform (expected 1 to P)");
   }
   Partition p;
-  p.num_shards = shards;
   p.shard_of.resize(static_cast<std::size_t>(platform.size()));
   p.members.resize(static_cast<std::size_t>(shards));
   int per_type_index[sim::kNumResourceTypes] = {0, 0};

@@ -8,11 +8,11 @@ namespace readys::cluster {
 
 /// Static assignment of a platform's resources to K shards. Both lookup
 /// directions are materialized: `shard_of` answers "which shard owns
-/// resource r" in O(1) (the sharded engine routes every event through
-/// it), `members` hands each shard its ascending resource list (what a
-/// shard-scoped EngineView publishes as its visible resources).
+/// resource r" in O(1) (the shard scheduler routes every running task
+/// and proposed binding through it), `members` hands each shard its
+/// ascending resource list (what a shard-scoped EngineView publishes as
+/// its visible resources).
 struct Partition {
-  int num_shards = 1;
   std::vector<int> shard_of;                        ///< per resource
   std::vector<std::vector<sim::ResourceId>> members;///< per shard, ascending
 

@@ -52,22 +52,13 @@ void ShardScheduler::bind_scoped_states() {
     st.ready = &shard.ready;
     st.ready_log = &shard.ready_log;
     st.running = &shard.running;
-    // in_ready stays null so is_ready() delegates to the base view:
-    // readiness is a global DAG fact, and a guard wrapped around the
-    // inner (guarded:<inner>) must not count a stolen-away task — which
-    // is still genuinely ready — as an inner failure. Ownership is
-    // enforced by the coordinator's own drop check instead.
-    st.in_ready = nullptr;
     st.up = &shard.up;
     st.avail = &shard.avail;
-    // done / producer_of / resource_task / duration_table stay null:
-    // they are global facts and delegate to the full base view.
-    st.done = nullptr;
-    st.producer_of = nullptr;
-    st.resource_task = nullptr;
-    st.expected_finish = nullptr;
-    st.speed = nullptr;
-    st.duration_table = nullptr;
+    // is_ready() answers from the base view: readiness is a global DAG
+    // fact, and a guard wrapped around the inner (guarded:<inner>) must
+    // not count a stolen-away task — which is still genuinely ready — as
+    // an inner failure. Ownership is enforced by the coordinator's own
+    // drop check instead.
     st.base = &*base_view_;
   }
 }

@@ -48,9 +48,9 @@ namespace readys::cluster {
 ///      liveness with a one-shot full-view MCT decision (counted in
 ///      cluster.rescue_fallbacks) instead of stalling the simulator.
 ///
-/// Works under both sim::Simulator (engine-backed views) and
-/// ClusterSimulator (table-backed views); pair shards here with the
-/// engine's shard count to make the per-shard scans line up.
+/// Runs under sim::Simulator like any other scheduler: the base view is
+/// the engine's, and each scoped EngineState forwards the global facts
+/// it does not own to that base view.
 class ShardScheduler : public sim::Scheduler {
  public:
   struct Options {
@@ -98,7 +98,7 @@ class ShardScheduler : public sim::Scheduler {
     std::vector<std::uint8_t> in_ready;     ///< ownership bitmap, per task
                                             ///< (coordinator-private; the
                                             ///< scoped view's is_ready
-                                            ///< delegates to the base)
+                                            ///< forwards to the base)
     std::vector<dag::TaskId> ready_log;     ///< per-shard became-ready order
     std::vector<sim::RunningInfo> running;  ///< scoped to members
     std::vector<std::uint8_t> up;           ///< per resource; remote = 0

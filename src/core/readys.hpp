@@ -13,17 +13,16 @@
 ///   rl::ReadysAgent agent(graph.num_kernel_types(), rl::AgentConfig{});
 ///   agent.train(graph, platform, costs, {.episodes = 300, .sigma = 0.2});
 ///
-///   rl::ReadysScheduler policy(agent.net(), agent.config().window);
+///   rl::ReadysScheduler policy(agent.net(), agent.config().window,
+///                              rl::ReadysOptions{});
 ///   double mk = sim::simulate_makespan(graph, platform, costs, policy,
 ///                                      /*sigma=*/0.2, /*seed=*/42);
 /// \endcode
 
-#include "cluster/cluster_sim.hpp"
 #include "cluster/heartbeat.hpp"
 #include "cluster/partition.hpp"
 #include "cluster/register.hpp"
 #include "cluster/shard_sched.hpp"
-#include "cluster/sharded_engine.hpp"
 #include "core/apps.hpp"
 #include "core/evaluation.hpp"
 #include "core/run_config.hpp"

@@ -40,14 +40,6 @@ class ReadysScheduler : public sim::Scheduler {
   /// The policy must outlive the scheduler.
   ReadysScheduler(const PolicyNet& net, int window, ReadysOptions opts);
 
-  /// Historical convenience signature; `greedy` takes argmax actions
-  /// (evaluation mode), otherwise actions are sampled from π.
-  ReadysScheduler(const PolicyNet& net, int window, bool greedy = true,
-                  std::uint64_t seed = 1, bool random_offer = false)
-      : ReadysScheduler(net, window,
-                        ReadysOptions{greedy, seed, random_offer,
-                                      InferenceBackendKind::kF64Ref, true}) {}
-
   void reset(const sim::EngineView& engine) override;
   std::vector<sim::Assignment> decide(const sim::EngineView& engine) override;
   std::string name() const override { return "READYS"; }

@@ -1,10 +1,5 @@
 #include "sim/engine_view.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
-
 namespace readys::sim {
 
 std::vector<ResourceId> EngineView::idle_resources() const {
@@ -18,37 +13,11 @@ std::vector<ResourceId> EngineView::idle_resources() const {
 
 double EngineView::expected_available_at(ResourceId r) const {
   if (engine_) return engine_->expected_available_at(r);
-  if (state_->avail) return (*state_->avail)[static_cast<std::size_t>(r)];
-  if (!state_->expected_finish) return state_->base->expected_available_at(r);
-  if (state_->fault_enabled && !is_up(r)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const dag::TaskId t = running_on(r);
-  const double ef =
-      (*state_->expected_finish)[static_cast<std::size_t>(r)];
-  if (t == dag::kInvalidTask) {
-    if (!std::isnan(ef)) {
-      throw std::logic_error(
-          "EngineView::expected_available_at: idle resource has a pending "
-          "expected finish (state corruption)");
-    }
-    return state_->now;
-  }
-  if (std::isnan(ef)) {
-    throw std::logic_error(
-        "EngineView::expected_available_at: busy resource has no expected "
-        "finish (state corruption)");
-  }
-  return std::max(state_->now, ef);
+  return (*state_->avail)[static_cast<std::size_t>(r)];
 }
 
 double EngineView::expected_input_delay(dag::TaskId t, ResourceId r) const {
   if (engine_) return engine_->expected_input_delay(t, r);
-  if (!state_->comm) return 0.0;
-  if (state_->producer_of) {
-    return state_->comm->input_delay(*state_->graph, t, *state_->platform,
-                                     *state_->producer_of, r);
-  }
   return state_->base->expected_input_delay(t, r);
 }
 

@@ -8,18 +8,17 @@ namespace readys::sim {
 
 class EngineView;
 
-/// Raw observable-state tables backing an EngineView when the state does
-/// not come from a live SimEngine — the cluster layer's ShardedEngine
-/// publishes one of these over its own members, and shard-scoped views
-/// override a subset of the tables (local ready set, masked resource
-/// availability) while delegating the rest to the full view via `base`.
+/// Scoped observable state backing an EngineView that does not wrap a
+/// live SimEngine: the cluster layer's per-shard views. A scoped state
+/// owns the tables that differ per shard (visible resources, local ready
+/// set, masked liveness and availability) and forwards every global fact
+/// (readiness, completion, placement, durations, input delays) to the
+/// full view in `base`.
 ///
-/// Pointer fields marked *required* must be set on every state; fields
-/// marked *optional* may stay null, in which case the corresponding
-/// accessor forwards to `base` (which must then be non-null and valid).
-/// All pointers are non-owning and must outlive the views built on top.
+/// Every pointer except `comm` is required. All are non-owning; the
+/// pointees must outlive the views built on top.
 struct EngineState {
-  // Static context — required.
+  // Static context.
   const dag::TaskGraph* graph = nullptr;
   const Platform* platform = nullptr;
   const CostModel* costs = nullptr;
@@ -33,33 +32,19 @@ struct EngineState {
   /// illegal when nothing runs anywhere) is a whole-platform property.
   bool any_running = false;
 
-  // Required collections.
+  // Scoped tables.
   const std::vector<ResourceId>* resources = nullptr;  ///< visible, ascending
   const std::vector<dag::TaskId>* ready = nullptr;     ///< ascending ids
   const std::vector<dag::TaskId>* ready_log = nullptr; ///< append-only
   const std::vector<RunningInfo>* running = nullptr;   ///< start order
   const std::vector<std::uint8_t>* up = nullptr;       ///< per resource
-
-  // Optional tables (null -> delegate to base).
-  /// Readiness is a DAG fact, not an ownership fact: a shard-scoped view
-  /// leaves this null so is_ready() answers globally even for tasks the
-  /// shard does not own (its ready() list stays scoped). Full table-backed
-  /// states must set it.
-  const std::vector<std::uint8_t>* in_ready = nullptr;    ///< per task
-  const std::vector<std::uint8_t>* done = nullptr;        ///< per task
-  const std::vector<ResourceId>* producer_of = nullptr;   ///< per task
-  const std::vector<dag::TaskId>* resource_task = nullptr;///< per resource
-  /// Resolved availability: max(now, expected finish), +inf down. Scoped
-  /// views precompute this; set either `avail` or `expected_finish`.
+  /// Resolved availability per resource: max(now, expected finish),
+  /// +inf when down.
   const std::vector<double>* avail = nullptr;
-  /// Engine-internal promised-finish table (NaN = idle); the view applies
-  /// the up/now clamping and corruption checks itself.
-  const std::vector<double>* expected_finish = nullptr;
-  const std::vector<double>* speed = nullptr;           ///< per resource
-  const std::vector<double>* duration_table = nullptr;  ///< kernel x P
 
-  /// Delegation target for null optional fields. At most one level deep:
-  /// a scoped view's base is always a full (engine- or table-backed) view.
+  /// Full view every global fact is read from. Readiness is a DAG fact,
+  /// not an ownership fact, so is_ready() answers globally even for tasks
+  /// the shard does not own (its ready() list stays scoped).
   const EngineView* base = nullptr;
 };
 
@@ -69,7 +54,7 @@ struct EngineState {
 /// per second and every accessor is one predictable branch between the
 /// two backends. Engine-backed views convert implicitly from SimEngine
 /// so call sites (`scheduler.decide(engine)`) stay source-compatible;
-/// table-backed views let the cluster layer present sharded or partial
+/// state-backed views let the cluster layer present a shard's scoped
 /// state through the same interface without SimEngine inheriting
 /// anything.
 ///
@@ -115,8 +100,7 @@ class EngineView {
 
   bool is_ready(dag::TaskId t) const noexcept {
     if (engine_) return engine_->is_ready(t);
-    if (!state_->in_ready) return state_->base->is_ready(t);
-    return t < state_->in_ready->size() && (*state_->in_ready)[t] != 0;
+    return state_->base->is_ready(t);
   }
   bool is_up(ResourceId r) const {
     if (engine_) return engine_->is_up(r);
@@ -129,20 +113,15 @@ class EngineView {
   }
   bool is_done(dag::TaskId t) const {
     if (engine_) return engine_->is_done(t);
-    if (state_->done) return (*state_->done)[t] != 0;
     return state_->base->is_done(t);
   }
   dag::TaskId running_on(ResourceId r) const {
     if (engine_) return engine_->running_on(r);
-    if (state_->resource_task) {
-      return (*state_->resource_task)[static_cast<std::size_t>(r)];
-    }
     return state_->base->running_on(r);
   }
   /// Resource that produced t's output, or -1 while t is incomplete.
   ResourceId producer_of(dag::TaskId t) const {
     if (engine_) return engine_->producer_of()[t];
-    if (state_->producer_of) return (*state_->producer_of)[t];
     return state_->base->producer_of(t);
   }
 
@@ -160,16 +139,6 @@ class EngineView {
 
   double expected_duration(dag::TaskId t, ResourceId r) const {
     if (engine_) return engine_->expected_duration(t, r);
-    if (state_->duration_table) {
-      const double d =
-          (*state_->duration_table)
-              [static_cast<std::size_t>(state_->graph->kernel(t)) *
-                   static_cast<std::size_t>(state_->platform->size()) +
-               static_cast<std::size_t>(r)];
-      return state_->fault_enabled
-                 ? d * (*state_->speed)[static_cast<std::size_t>(r)]
-                 : d;
-    }
     return state_->base->expected_duration(t, r);
   }
 
@@ -177,8 +146,8 @@ class EngineView {
   /// own shard's). Materializes a vector like SimEngine::idle_resources.
   std::vector<ResourceId> idle_resources() const;
 
-  /// See SimEngine::expected_available_at — same semantics, including
-  /// the state-corruption checks when backed by a promised-finish table.
+  /// See SimEngine::expected_available_at; a scoped view reads its
+  /// precomputed availability table.
   double expected_available_at(ResourceId r) const;
 
   /// See SimEngine::expected_input_delay; 0 without a comm model.

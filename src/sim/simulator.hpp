@@ -18,8 +18,8 @@ struct Assignment {
 ///
 /// Schedulers observe the simulation through an EngineView — either a
 /// whole SimEngine (which converts implicitly, so `decide(engine)` call
-/// sites read naturally) or a table-backed view the cluster layer builds
-/// for sharded engines and per-shard partial observations.
+/// sites read naturally) or a shard-scoped view the cluster layer's
+/// ShardScheduler builds over the engine's for its inner schedulers.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

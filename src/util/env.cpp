@@ -1,6 +1,10 @@
 #include "util/env.hpp"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "util/csv.hpp"
 
@@ -13,22 +17,52 @@ const char* raw(const char* name) {
   return (v != nullptr && *v != '\0') ? v : nullptr;
 }
 
+[[noreturn]] void malformed(const char* name, const std::string& text,
+                            const char* what) {
+  throw std::invalid_argument(std::string(name) + " must be " + what +
+                              ", got '" + text + "'");
+}
+
+int parse_int(const char* name, const std::string& text) {
+  const char* s = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
+      parsed > INT_MAX) {
+    malformed(name, text, "an integer");
+  }
+  return static_cast<int>(parsed);
+}
+
+double parse_double(const char* name, const std::string& text) {
+  const char* s = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(parsed)) {
+    malformed(name, text, "a number");
+  }
+  return parsed;
+}
+
+template <typename T, typename Parse>
+std::vector<T> parse_list(const char* name, const char* v, Parse parse) {
+  std::vector<T> out;
+  for (const auto& piece : split(v, ',')) out.push_back(parse(name, piece));
+  return out;
+}
+
 }  // namespace
 
 int env_int(const char* name, int fallback) {
   const char* v = raw(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return (end == v) ? fallback : static_cast<int>(parsed);
+  return v ? parse_int(name, v) : fallback;
 }
 
 double env_double(const char* name, double fallback) {
   const char* v = raw(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end == v) ? fallback : parsed;
+  return v ? parse_double(name, v) : fallback;
 }
 
 std::string env_string(const char* name, const std::string& fallback) {
@@ -39,29 +73,13 @@ std::string env_string(const char* name, const std::string& fallback) {
 std::vector<double> env_double_list(const char* name,
                                     const std::vector<double>& fallback) {
   const char* v = raw(name);
-  if (!v) return fallback;
-  std::vector<double> out;
-  for (const auto& piece : split(v, ',')) {
-    if (piece.empty()) continue;
-    char* end = nullptr;
-    const double parsed = std::strtod(piece.c_str(), &end);
-    if (end != piece.c_str()) out.push_back(parsed);
-  }
-  return out.empty() ? fallback : out;
+  return v ? parse_list<double>(name, v, parse_double) : fallback;
 }
 
 std::vector<int> env_int_list(const char* name,
                               const std::vector<int>& fallback) {
   const char* v = raw(name);
-  if (!v) return fallback;
-  std::vector<int> out;
-  for (const auto& piece : split(v, ',')) {
-    if (piece.empty()) continue;
-    char* end = nullptr;
-    const long parsed = std::strtol(piece.c_str(), &end, 10);
-    if (end != piece.c_str()) out.push_back(static_cast<int>(parsed));
-  }
-  return out.empty() ? fallback : out;
+  return v ? parse_list<int>(name, v, parse_int) : fallback;
 }
 
 }  // namespace readys::util

@@ -5,14 +5,19 @@
 
 namespace readys::util {
 
-/// Reads an environment variable, falling back to `fallback` when unset or
-/// unparsable. Used by the benchmark harness so figure reproductions can be
-/// scaled from smoke-test to paper-level budgets without recompiling.
+/// Reads an environment variable, falling back to `fallback` when it is
+/// unset or empty. Any other value must parse whole ("12x" and "abc" are
+/// errors, as is an out-of-range or non-finite number): a malformed value
+/// throws std::invalid_argument naming the variable instead of being
+/// silently truncated or ignored. Used by the benchmark harness so figure
+/// reproductions can be scaled from smoke-test to paper-level budgets
+/// without recompiling, and by RunConfig::from_env.
 int env_int(const char* name, int fallback);
 double env_double(const char* name, double fallback);
 std::string env_string(const char* name, const std::string& fallback);
 
-/// Parses a comma-separated list ("0,0.2,0.5"); falls back when unset/empty.
+/// Parses a comma-separated list ("0,0.2,0.5") with the same strictness,
+/// every element included; falls back when unset/empty.
 std::vector<double> env_double_list(const char* name,
                                     const std::vector<double>& fallback);
 std::vector<int> env_int_list(const char* name,

@@ -80,7 +80,7 @@ TEST(ReadysScheduler, RunsUnderSimulatorWithValidTrace) {
   rr::ReadysAgent agent(4, tiny_config());
   for (double sigma : {0.0, 0.5}) {
     rr::ReadysScheduler sched(agent.net(), agent.config().window,
-                              /*greedy=*/true, /*seed=*/4);
+                              {.greedy = true, .seed = 4});
     rs::Simulator sim(graph, platform, costs, {sigma, 21});
     const auto result = sim.run(sched);
     EXPECT_EQ(result.trace.validate(graph, platform), "") << sigma;
@@ -93,8 +93,8 @@ TEST(ReadysScheduler, GreedyIsSeedIndependentDeterministicPolicy) {
   const auto platform = rs::Platform::hybrid(2, 2);
   const auto costs = rs::CostModel::cholesky();
   rr::ReadysAgent agent(4, tiny_config());
-  rr::ReadysScheduler s1(agent.net(), 1, true, 5);
-  rr::ReadysScheduler s2(agent.net(), 1, true, 5);
+  rr::ReadysScheduler s1(agent.net(), 1, {.greedy = true, .seed = 5});
+  rr::ReadysScheduler s2(agent.net(), 1, {.greedy = true, .seed = 5});
   const double m1 = rs::simulate_makespan(graph, platform, costs, s1, 0.0, 9);
   const double m2 = rs::simulate_makespan(graph, platform, costs, s2, 0.0, 9);
   EXPECT_DOUBLE_EQ(m1, m2);
@@ -105,7 +105,7 @@ TEST(ReadysScheduler, SamplingModeStillValid) {
   const auto platform = rs::Platform::hybrid(2, 2);
   const auto costs = rs::CostModel::cholesky();
   rr::ReadysAgent agent(4, tiny_config());
-  rr::ReadysScheduler sched(agent.net(), 1, /*greedy=*/false, 6);
+  rr::ReadysScheduler sched(agent.net(), 1, {.greedy = false, .seed = 6});
   rs::Simulator sim(graph, platform, costs, {0.3, 13});
   const auto result = sim.run(sched);
   EXPECT_EQ(result.trace.validate(graph, platform), "");

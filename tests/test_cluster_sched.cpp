@@ -1,11 +1,12 @@
 // Property suite for the decentralized shard scheduler: task
 // conservation under steal interleavings, heartbeat state-machine
-// validity, bounded staleness of the cross-shard directory, shard-trace
-// merge validity, and the registry surface of the "shard:<inner>"
-// family. Style follows the mapf-het-inspired invariant tests in
+// validity, bounded staleness of the cross-shard directory, the
+// partition, and the registry surface of the "shard:<inner>" family.
+// Style follows the mapf-het-inspired invariant tests in
 // tests/test_schedulers_property.cpp: run real episodes, then assert
 // invariants that must hold under EVERY interleaving rather than pinning
-// one specific schedule.
+// one specific schedule. ShardPin at the end is the exception: it pins a
+// fixed grid of runs bit-for-bit.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_sim.hpp"
 #include "cluster/heartbeat.hpp"
+#include "cluster/partition.hpp"
 #include "cluster/register.hpp"
 #include "cluster/shard_sched.hpp"
 #include "dag/cholesky.hpp"
-#include "dag/random_dag.hpp"
 #include "sched/guarded.hpp"
 #include "sched/mct.hpp"
 #include "sched/scheduler.hpp"
@@ -32,7 +32,6 @@ namespace rc = readys::cluster;
 namespace rd = readys::dag;
 namespace rs = readys::sim;
 namespace rx = readys::sched;
-namespace ru = readys::util;
 
 namespace {
 
@@ -104,11 +103,7 @@ TEST(ClusterSched, TaskConservationUnderStealInterleavings) {
     opts.shards = 4;
     opts.stale_ms = 5.0;
     auto sched = make_shard_mct(opts);
-    rc::ClusterSimulator::Options opt;
-    opt.sigma = 0.1;
-    opt.seed = seed;
-    opt.shards = 4;
-    rc::ClusterSimulator sim(graph, platform, costs, opt);
+    rs::Simulator sim(graph, platform, costs, {0.1, seed});
     const auto r = sim.run(*sched);
     EXPECT_EQ(r.trace.validate(graph, platform), "");
     EXPECT_EQ(r.trace.size(), graph.num_tasks());
@@ -142,11 +137,7 @@ TEST(ClusterSched, GuardedInnersSurviveStealInterleavings) {
   rc::ShardScheduler::Options opts;
   opts.shards = 4;
   rc::ShardScheduler sched(std::move(inners), opts, "guarded:mct");
-  rc::ClusterSimulator::Options opt;
-  opt.sigma = 0.1;
-  opt.seed = 5;
-  opt.shards = 4;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, {0.1, 5});
   const auto r = sim.run(sched);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
   EXPECT_GT(sched.steals(), 0u) << "workload was built to force steals";
@@ -164,10 +155,7 @@ TEST(ClusterSched, StealingDisabledStillCompletesViaRescue) {
   opts.shards = 4;
   opts.steal = false;
   auto sched = make_shard_mct(opts);
-  rc::ClusterSimulator::Options opt;
-  opt.seed = 3;
-  opt.shards = 4;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, {0.0, 3});
   const auto r = sim.run(*sched);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
   EXPECT_EQ(sched->steals(), 0u);
@@ -191,12 +179,11 @@ TEST(ClusterSched, HeartbeatTransitionValidityUnderFaults) {
   opts.hb_suspect = 2;
   opts.hb_dead = 4;
   auto sched = make_shard_mct(opts);
-  rc::ClusterSimulator::Options opt;
+  rs::Simulator::Options opt;
   opt.sigma = 0.1;
   opt.seed = 17;
-  opt.shards = 3;
   opt.faults = faults;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, opt);
   const auto r = sim.run(*sched);
   EXPECT_EQ(r.trace.size(), graph.num_tasks());
   const auto& m = sched->heartbeat().transition_counts();
@@ -259,54 +246,10 @@ TEST(ClusterSched, DirectoryStalenessIsBoundedAndMonotone) {
     opts.stale_ms = stale;
     auto sched = make_shard_mct(opts);
     StaleProbe probe(*sched);
-    rc::ClusterSimulator::Options opt;
-    opt.sigma = 0.1;
-    opt.seed = 2;
-    opt.shards = 4;
-    rc::ClusterSimulator sim(graph, platform, costs, opt);
+    rs::Simulator sim(graph, platform, costs, {0.1, 2});
     const auto r = sim.run(probe);
     EXPECT_EQ(r.trace.validate(graph, platform), "");
   }
-}
-
-// The per-shard sub-traces of a sharded run merge back into a valid
-// global schedule: same multiset of entries as the global trace, and
-// the merge itself passes Trace::validate.
-TEST(ClusterSched, ShardTracesMergeIntoValidGlobalTrace) {
-  ru::Rng rng(33);
-  const auto graph = rd::random_layered_dag({8, 12, 0.3, 4, true}, rng);
-  const auto costs = rs::CostModel::cholesky();
-  const auto platform = rs::Platform::hybrid(8, 8);
-  rc::ShardScheduler::Options opts;
-  opts.shards = 4;
-  auto sched = make_shard_mct(opts);
-  rc::ClusterSimulator::Options opt;
-  opt.sigma = 0.1;
-  opt.seed = 13;
-  opt.shards = 4;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
-  const auto r = sim.run(*sched);
-  rs::Trace merged;
-  for (const auto& st : r.shard_traces) {
-    for (const auto& e : st.entries()) merged.add(e);
-  }
-  EXPECT_EQ(merged.size(), r.trace.size());
-  EXPECT_EQ(merged.validate(graph, platform), "");
-  EXPECT_DOUBLE_EQ(merged.makespan(), r.makespan);
-}
-
-// The coordinator also runs under the plain (non-sharded) Simulator:
-// engine-backed views go through the exact same scoping machinery.
-TEST(ClusterSched, RunsUnderPlainSimulator) {
-  const auto graph = rd::cholesky_graph(8);
-  const auto costs = rs::CostModel::cholesky();
-  const auto platform = rs::Platform::hybrid(4, 4);
-  rc::ShardScheduler::Options opts;
-  opts.shards = 4;
-  auto sched = make_shard_mct(opts);
-  rs::Simulator sim(graph, platform, costs, {0.1, 9});
-  const auto r = sim.run(*sched);
-  EXPECT_EQ(r.trace.validate(graph, platform), "");
 }
 
 // Parallel per-shard decide must be observationally identical to the
@@ -323,12 +266,9 @@ TEST(ClusterSched, ParallelDecideMatchesSerial) {
   par_opts.parallel = 4;
   auto parallel = make_shard_mct(par_opts);
   for (const std::uint64_t seed : {1ull, 7ull}) {
-    rc::ClusterSimulator::Options opt;
-    opt.sigma = 0.1;
-    opt.seed = seed;
-    opt.shards = 4;
-    rc::ClusterSimulator sim_a(graph, platform, costs, opt);
-    rc::ClusterSimulator sim_b(graph, platform, costs, opt);
+    const rs::Simulator::Options opt{0.1, seed};
+    rs::Simulator sim_a(graph, platform, costs, opt);
+    rs::Simulator sim_b(graph, platform, costs, opt);
     const auto ra = sim_a.run(*serial);
     const auto rb = sim_b.run(*parallel);
     ASSERT_DOUBLE_EQ(ra.makespan, rb.makespan) << "seed=" << seed;
@@ -359,12 +299,32 @@ TEST(ClusterSched, RegistrySurface) {
   const auto costs = rs::CostModel::cholesky();
   const auto platform = rs::Platform::hybrid(2, 2);
   auto composed = reg.make("shard(shards=2):guarded:mct");
-  rc::ClusterSimulator::Options opt;
-  opt.seed = 1;
-  opt.shards = 2;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, {0.0, 1});
   const auto r = sim.run(*composed);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
+}
+
+TEST(ClusterSched, PartitionKeepsShardsHeterogeneous) {
+  const auto platform = rs::Platform::hybrid(8, 4);
+  const auto part = rc::Partition::by_type_round_robin(platform, 4);
+  ASSERT_EQ(part.members.size(), 4u);
+  for (int s = 0; s < 4; ++s) {
+    int cpus = 0;
+    int gpus = 0;
+    for (const rs::ResourceId r : part.members[static_cast<std::size_t>(s)]) {
+      EXPECT_EQ(part.shard(r), s);
+      (platform.type(r) == rs::ResourceType::kCpu ? cpus : gpus)++;
+    }
+    EXPECT_EQ(cpus, 2);  // 8 CPUs round-robined over 4 shards
+    EXPECT_EQ(gpus, 1);  // 4 GPUs round-robined over 4 shards
+    // Ascending member lists, as the scoped views require.
+    const auto& m = part.members[static_cast<std::size_t>(s)];
+    for (std::size_t i = 1; i < m.size(); ++i) EXPECT_LT(m[i - 1], m[i]);
+  }
+  EXPECT_THROW(rc::Partition::by_type_round_robin(platform, 0),
+               std::invalid_argument);
+  EXPECT_THROW(rc::Partition::by_type_round_robin(platform, 13),
+               std::invalid_argument);
 }
 
 TEST(ClusterSched, ShardCountClampsToPlatform) {
@@ -423,9 +383,8 @@ ShardFingerprint run_fingerprint(rc::ShardScheduler& sched,
   const auto graph = rd::cholesky_graph(8);
   const auto costs = rs::CostModel::cholesky();
   const auto platform = rs::Platform::hybrid(8, 8);
-  const int k = sched.options().shards;
-  const rc::ClusterSimulator::Options opt{0.1, seed, k, comm, faults};
-  const auto r = rc::ClusterSimulator(graph, platform, costs, opt).run(sched);
+  const rs::Simulator::Options opt{0.1, seed, comm, faults};
+  const auto r = rs::Simulator(graph, platform, costs, opt).run(sched);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
   return {trace_hash(r.trace),        r.makespan,
           sched.steals(),             sched.stolen_tasks(),

@@ -72,8 +72,8 @@ TEST(ConfigVariants, RandomOfferSchedulerProducesValidTraces) {
   const auto platform = rs::Platform::hybrid(2, 2);
   const auto costs = rs::CostModel::cholesky();
   rr::ReadysAgent agent(4, tiny());
-  rr::ReadysScheduler sched(agent.net(), 1, /*greedy=*/false, /*seed=*/3,
-                            /*random_offer=*/true);
+  rr::ReadysScheduler sched(agent.net(), 1,
+                            {.greedy = false, .seed = 3, .random_offer = true});
   rs::Simulator sim(graph, platform, costs, {0.3, 5});
   const auto result = sim.run(sched);
   EXPECT_EQ(result.trace.validate(graph, platform), "");
@@ -88,7 +88,8 @@ TEST(ConfigVariants, RandomOfferSeedChangesOutcome) {
   // be able to change the schedule (sampled policy, untrained net).
   std::vector<double> mks;
   for (std::uint64_t s = 0; s < 6; ++s) {
-    rr::ReadysScheduler sched(agent.net(), 1, false, s, true);
+    rr::ReadysScheduler sched(
+        agent.net(), 1, {.greedy = false, .seed = s, .random_offer = true});
     rs::Simulator sim(graph, platform, costs, {0.0, 11});
     mks.push_back(sim.run(sched).makespan);
   }

@@ -225,7 +225,7 @@ TEST(Guarded, NanPolicyCompletesEpisodeViaFallbackWithMetric) {
       ro::telemetry() ? ro::telemetry()->sched_fallbacks.total() : 0;
 
   rx::GuardedScheduler sched(std::make_unique<rr::ReadysScheduler>(
-      agent.net(), cfg.window, /*greedy=*/true, /*seed=*/4));
+      agent.net(), cfg.window, rr::ReadysOptions{.greedy = true, .seed = 4}));
   rs::Simulator sim(g, p, rs::CostModel::cholesky(), {0.0, 1});
   const auto result = sim.run(sched);
 

@@ -101,7 +101,8 @@ TEST(Integration, QuickstartSnippetCompilesAndRuns) {
   rl::ReadysAgent agent(graph.num_kernel_types(), cfg);
   agent.train(graph, platform, costs, {.episodes = 5, .sigma = 0.2});
 
-  rl::ReadysScheduler policy(agent.net(), agent.config().window);
+  rl::ReadysScheduler policy(agent.net(), agent.config().window,
+                             rl::ReadysOptions{});
   const double mk =
       sim::simulate_makespan(graph, platform, costs, policy, 0.2, 42);
   EXPECT_GT(mk, 0.0);

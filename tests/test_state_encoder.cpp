@@ -136,7 +136,6 @@ TEST(StateEncoder, CpuOnlyPlatformHasGpuDefaults) {
 // and the cluster layer's scoped views (where a stolen task leaves the
 // shard's ready list while staying globally ready).
 
-#include "cluster/cluster_sim.hpp"
 #include "cluster/shard_sched.hpp"
 #include "sched/mct.hpp"
 #include "sim/fault_model.hpp"
@@ -266,11 +265,7 @@ TEST(IncrementalEncoder, MatchesFullEncoderOnScopedViewsWithSteals) {
   opts.shards = 4;
   readys::cluster::ShardScheduler sched(std::move(inners), opts,
                                         "comparing:mct");
-  readys::cluster::ClusterSimulator::Options opt;
-  opt.sigma = 0.1;
-  opt.seed = 5;
-  opt.shards = 4;
-  readys::cluster::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, {0.1, 5});
   const auto r = sim.run(sched);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
   EXPECT_GT(sched.steals(), 0u) << "workload was built to force steals";

@@ -230,8 +230,32 @@ TEST(Env, FallbacksAndParsing) {
   const auto xs = ru::env_double_list("READYS_TEST_VAR", {});
   ASSERT_EQ(xs.size(), 3u);
   EXPECT_DOUBLE_EQ(xs[0], 0.5);
-  ::setenv("READYS_TEST_VAR", "garbage", 1);
+  ::setenv("READYS_TEST_VAR", "", 1);
   EXPECT_EQ(ru::env_int("READYS_TEST_VAR", 5), 5);
+  // A malformed value fails loudly, naming the variable, instead of
+  // falling back ("garbage") or truncating ("12x").
+  for (const char* bad : {"garbage", "12x"}) {
+    ::setenv("READYS_TEST_VAR", bad, 1);
+    EXPECT_THROW(ru::env_int("READYS_TEST_VAR", 5), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(ru::env_double("READYS_TEST_VAR", 0.5),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(ru::env_int_list("READYS_TEST_VAR", {}),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(ru::env_double_list("READYS_TEST_VAR", {}),
+                 std::invalid_argument)
+        << bad;
+  }
+  ::setenv("READYS_TEST_VAR", "12x", 1);
+  try {
+    ru::env_int("READYS_TEST_VAR", 5);
+    ADD_FAILURE() << "12x must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("READYS_TEST_VAR"),
+              std::string::npos);
+  }
   ::unsetenv("READYS_TEST_VAR");
 }
 
