@@ -124,8 +124,8 @@ void BM_PolicyForward(benchmark::State& state) {
   rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
                     rl::StateEncoder::kResourceFeatureWidth, cfg);
   sim::SimEngine engine(g, p, c, 0.0, 1);
-  rl::StateEncoder enc(g, c, cfg.window);
-  const auto obs = enc.encode(engine, 0);
+  rl::IncrementalEncoder enc(g, c, cfg.window);
+  const rl::Observation& obs = enc.encode(engine, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.forward(obs));
   }

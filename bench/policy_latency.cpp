@@ -1,22 +1,20 @@
 // Policy-latency baseline for the inference fast path (src/rl): times
-// every READYS decision — window encoding + policy forward + action
-// selection — across the 2x2 {backend} x {encoder} grid,
+// every READYS decision — incremental window encoding + policy forward +
+// action selection — under both inference backends,
 //
-//   f64ref  + full         the historical path (autograd forward over a
-//                          from-scratch StateEncoder::encode)
-//   f64ref  + incremental  bit-identical encoder reuse
-//   f32simd + full         float32 SIMD forward, from-scratch encoding
-//   f32simd + incremental  the fast path serve/cluster default to
+//   f64ref   PolicyNet::forward under no-grad, bit-exact with training
+//   f32simd  float32 SIMD forward over the CSR view of Â, the path
+//            serve/cluster default to
 //
-// and reports mean/p50/p95 microseconds per decision plus the headline
-// speedup (f32simd+incremental vs f64ref+full) into
-// BENCH_policy_latency.json (+ sibling manifest). A second phase times
-// InferenceBackend::forward_batched against one-at-a-time forward() over
-// harvested observations, the serve batching tradeoff.
+// and reports mean/p50/p95 microseconds per decision plus the speedup
+// (f32simd vs f64ref) into BENCH_policy_latency.json (+ sibling
+// manifest). A second phase times InferenceBackend::forward_batched
+// against one-at-a-time forward() over harvested observations, the serve
+// batching tradeoff.
 //
 // Decisions are timed in situ: a wrapper scheduler brackets decide()
-// under a live Simulator run, so incremental encoding sees the real
-// event stream (completions, ∅-declines) it is designed to exploit. The
+// under a live Simulator run, so the encoder sees the real event stream
+// (completions, ∅-declines) it is designed to exploit. The
 // policy is an untrained seeded PolicyNet — latency does not depend on
 // policy quality. Knobs:
 //   READYS_TILES        Cholesky tile count (default 10)
@@ -71,9 +69,7 @@ class TimedScheduler final : public sim::Scheduler {
 };
 
 struct Variant {
-  std::string name;
   rl::InferenceBackendKind backend;
-  bool incremental = false;
   std::vector<double> us;      ///< per-decision latencies
   double mean_makespan = 0.0;  ///< sanity: policy behavior, not speed
 };
@@ -119,17 +115,13 @@ int main() {
               tensor::f32::isa_name(tensor::f32::active_isa()));
 
   std::vector<Variant> variants = {
-      {"f64ref+full", rl::InferenceBackendKind::kF64Ref, false, {}, 0.0},
-      {"f64ref+incremental", rl::InferenceBackendKind::kF64Ref, true, {}, 0.0},
-      {"f32simd+full", rl::InferenceBackendKind::kF32Simd, false, {}, 0.0},
-      {"f32simd+incremental", rl::InferenceBackendKind::kF32Simd, true, {},
-       0.0},
+      {rl::InferenceBackendKind::kF64Ref, {}, 0.0},
+      {rl::InferenceBackendKind::kF32Simd, {}, 0.0},
   };
 
   for (Variant& v : variants) {
     rl::ReadysOptions opts;
     opts.backend = v.backend;
-    opts.incremental = v.incremental;
     opts.seed = seed;
     {
       // Warmup episode: first-touch allocations (arena growth, encoder
@@ -145,18 +137,17 @@ int main() {
     }
     v.mean_makespan = mk_sum / episodes;
     const auto s = util::summarize(v.us);
-    std::printf("%-22s %6zu decisions | mean %8.1f us  p50 %8.1f  p95 %8.1f"
+    std::printf("%-8s %6zu decisions | mean %8.1f us  p50 %8.1f  p95 %8.1f"
                 " | makespan %.1f\n",
-                v.name.c_str(), v.us.size(), s.mean,
+                rl::inference_backend_name(v.backend), v.us.size(), s.mean,
                 util::quantile(v.us, 0.50), util::quantile(v.us, 0.95),
                 v.mean_makespan);
   }
 
   const double base_mean = util::summarize(variants[0].us).mean;
-  const double fast_mean = util::summarize(variants[3].us).mean;
+  const double fast_mean = util::summarize(variants[1].us).mean;
   const double speedup = fast_mean > 0.0 ? base_mean / fast_mean : 0.0;
-  std::printf("\nspeedup f32simd+incremental vs f64ref+full: %.2fx "
-              "(acceptance floor: 3x)\n\n", speedup);
+  std::printf("\nspeedup f32simd vs f64ref: %.2fx\n\n", speedup);
 
   // Phase 2: batched-vs-single forwards over harvested observations,
   // the tradeoff DecisionService::run_round makes. Encoding is excluded
@@ -213,9 +204,7 @@ int main() {
       const Variant& v = variants[i];
       const auto s = util::summarize(v.us);
       obs::JsonObject j;
-      j.field("variant", v.name)
-          .field("backend", rl::inference_backend_name(v.backend))
-          .field("incremental", v.incremental)
+      j.field("backend", rl::inference_backend_name(v.backend))
           .field("decisions", static_cast<std::uint64_t>(v.us.size()))
           .field("mean_us", s.mean)
           .field("p50_us", util::quantile(v.us, 0.50))
@@ -248,7 +237,7 @@ int main() {
         .field("sigma", sigma)
         .field("seed", seed)
         .field("isa", tensor::f32::isa_name(tensor::f32::active_isa()))
-        .field("speedup_fast_vs_baseline", speedup)
+        .field("speedup_f32simd_vs_f64ref", speedup)
         .raw("variants", vjson)
         .raw("forward_only", bjson);
     std::fprintf(f, "%s\n", j.str().c_str());
@@ -258,7 +247,7 @@ int main() {
     std::perror(path);
     return 1;
   }
-  run.manifest.set("speedup_fast_vs_baseline", speedup);
+  run.manifest.set("speedup_f32simd_vs_f64ref", speedup);
   run.finish(path);
   return 0;
 }

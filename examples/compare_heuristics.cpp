@@ -6,15 +6,15 @@
 // Usage: compare_heuristics [tiles] [runs]
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "core/readys.hpp"
 
 using namespace readys;
 
-int main(int argc, char** argv) {
-  const int tiles = argc > 1 ? std::atoi(argv[1]) : 8;
-  const int runs = argc > 2 ? std::atoi(argv[2]) : 10;
+int main(int argc, char** argv) try {
+  const int tiles = argc > 1 ? util::parse_int("tiles", argv[1]) : 8;
+  const int runs = argc > 2 ? util::parse_int("runs", argv[2]) : 10;
 
   util::ThreadPool pool;
   const std::vector<std::pair<std::string, core::SchedulerFactory>> scheds{
@@ -50,4 +50,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(mean makespans in ms; lower is better)\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -5,15 +5,15 @@
 // Usage: gantt_demo [tiles] [sigma]
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "core/readys.hpp"
 
 using namespace readys;
 
-int main(int argc, char** argv) {
-  const int tiles = argc > 1 ? std::atoi(argv[1]) : 6;
-  const double sigma = argc > 2 ? std::atof(argv[2]) : 0.0;
+int main(int argc, char** argv) try {
+  const int tiles = argc > 1 ? util::parse_int("tiles", argv[1]) : 6;
+  const double sigma = argc > 2 ? util::parse_double("sigma", argv[2]) : 0.0;
 
   const auto graph = core::make_graph(core::App::kLu, tiles);
   const auto costs = core::make_costs(core::App::kLu);
@@ -42,4 +42,7 @@ int main(int argc, char** argv) {
                 json_path.c_str());
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -2,19 +2,19 @@
 // hybrid CPU/GPU node, then compare it against HEFT and MCT under noise.
 //
 // Usage: quickstart [episodes] [sigma]
-//   episodes  training episodes (default 150)
+//   episodes  training episodes (default 1500)
 //   sigma     duration-noise level for the final comparison (default 0.25)
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "core/readys.hpp"
 
 using namespace readys;
 
-int main(int argc, char** argv) {
-  const int episodes = argc > 1 ? std::atoi(argv[1]) : 1500;
-  const double sigma = argc > 2 ? std::atof(argv[2]) : 0.25;
+int main(int argc, char** argv) try {
+  const int episodes = argc > 1 ? util::parse_int("episodes", argv[1]) : 1500;
+  const double sigma = argc > 2 ? util::parse_double("sigma", argv[2]) : 0.25;
 
   // 1. The instance: Cholesky with 6x6 tiles (56 tasks) on 2 CPUs + 2 GPUs.
   const auto graph = core::make_graph(core::App::kCholesky, 6);
@@ -57,4 +57,7 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n(vs HEFT > 1 means faster than HEFT)\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -22,16 +22,14 @@
 // document (see docs/api.md).
 
 #include <atomic>
-#include <cerrno>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
@@ -83,39 +81,33 @@ int usage() {
   return 2;
 }
 
-/// Whole-string integer parse for every numeric argument: "12x", "" or
-/// an out-of-range value is reported with the argument's name, never
-/// truncated the way atoi would.
-template <typename Int>
-bool parse_int_arg(const char* name, const char* text, Int& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  if (ec != std::errc() || ptr != end || ptr == text) {
-    std::fprintf(stderr, "%s must be an integer, got '%s'\n", name, text);
+/// Parses one numeric argument with util's whole-string parsers: "12x",
+/// "" or an out-of-range value is reported with the argument's name and
+/// the caller exits 2, never truncated the way atoi would.
+template <typename T>
+bool parse_arg(const char* name, const char* text, T& out) {
+  try {
+    if constexpr (std::is_same_v<T, double>) {
+      out = util::parse_double(name, text);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      out = util::parse_uint64(name, text);
+    } else {
+      static_assert(std::is_same_v<T, int>);
+      out = util::parse_int(name, text);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return false;
   }
-  return true;
-}
-
-/// Whole-string finite floating-point parse; see parse_int_arg.
-bool parse_double_arg(const char* name, const char* text, double& out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
-    std::fprintf(stderr, "%s must be a number, got '%s'\n", name, text);
-    return false;
-  }
-  out = v;
   return true;
 }
 
 /// The `<tiles> <ncpu> <ngpu>` positionals shared by the per-DAG
 /// subcommands, at argv[3..5].
 bool parse_shape_args(char** argv, int& tiles, int& ncpu, int& ngpu) {
-  return parse_int_arg("tiles", argv[3], tiles) &&
-         parse_int_arg("ncpu", argv[4], ncpu) &&
-         parse_int_arg("ngpu", argv[5], ngpu);
+  return parse_arg("tiles", argv[3], tiles) &&
+         parse_arg("ncpu", argv[4], ncpu) &&
+         parse_arg("ngpu", argv[5], ngpu);
 }
 
 int cmd_train(int argc, char** argv) {
@@ -131,8 +123,8 @@ int cmd_train(int argc, char** argv) {
     if (argc < 9) return usage();
     cfg.app = argv[2];
     if (!parse_shape_args(argv, cfg.tiles, cfg.ncpu, cfg.ngpu) ||
-        !parse_int_arg("episodes", argv[6], cfg.episodes) ||
-        !parse_double_arg("sigma", argv[7], cfg.sigma)) {
+        !parse_arg("episodes", argv[6], cfg.episodes) ||
+        !parse_arg("sigma", argv[7], cfg.sigma)) {
       return 2;
     }
     out_path = argv[8];
@@ -146,27 +138,25 @@ int cmd_train(int argc, char** argv) {
     if (flag == "--trainer" && i + 1 < argc) {
       cfg.trainer = argv[++i];
     } else if (flag == "--num-envs" && i + 1 < argc) {
-      if (!parse_int_arg("--num-envs", argv[++i], cfg.num_envs)) return 2;
+      if (!parse_arg("--num-envs", argv[++i], cfg.num_envs)) return 2;
     } else if (flag == "--async") {
       cfg.async = true;
     } else if (flag == "--async-actors" && i + 1 < argc) {
-      if (!parse_int_arg("--async-actors", argv[++i], cfg.async_actors)) {
+      if (!parse_arg("--async-actors", argv[++i], cfg.async_actors)) {
         return 2;
       }
     } else if (flag == "--async-batch" && i + 1 < argc) {
-      if (!parse_int_arg("--async-batch", argv[++i], cfg.async_batch)) {
+      if (!parse_arg("--async-batch", argv[++i], cfg.async_batch)) {
         return 2;
       }
     } else if (flag == "--checkpoint-dir" && i + 1 < argc) {
       cfg.checkpoint_dir = argv[++i];
     } else if (flag == "--checkpoint-every" && i + 1 < argc) {
-      if (!parse_int_arg("--checkpoint-every", argv[++i],
-                         cfg.checkpoint_every)) {
+      if (!parse_arg("--checkpoint-every", argv[++i], cfg.checkpoint_every)) {
         return 2;
       }
     } else if (flag == "--checkpoint-retain" && i + 1 < argc) {
-      if (!parse_int_arg("--checkpoint-retain", argv[++i],
-                         cfg.checkpoint_retain)) {
+      if (!parse_arg("--checkpoint-retain", argv[++i], cfg.checkpoint_retain)) {
         return 2;
       }
     } else if (flag == "--resume") {
@@ -259,8 +249,8 @@ int cmd_evaluate(int argc, char** argv) {
   int tiles = 0, ncpu = 0, ngpu = 0, runs = 5;
   double sigma = 0.0;
   if (!parse_shape_args(argv, tiles, ncpu, ngpu) ||
-      !parse_double_arg("sigma", argv[6], sigma) ||
-      (argc > 8 && !parse_int_arg("runs", argv[8], runs))) {
+      !parse_arg("sigma", argv[6], sigma) ||
+      (argc > 8 && !parse_arg("runs", argv[8], runs))) {
     return 2;
   }
   const auto app = core::parse_app(argv[2]);
@@ -285,8 +275,8 @@ int cmd_compare(int argc, char** argv) {
   int tiles = 0, ncpu = 0, ngpu = 0, runs = 10;
   double sigma = 0.0;
   if (!parse_shape_args(argv, tiles, ncpu, ngpu) ||
-      !parse_double_arg("sigma", argv[6], sigma) ||
-      (argc > 7 && !parse_int_arg("runs", argv[7], runs))) {
+      !parse_arg("sigma", argv[6], sigma) ||
+      (argc > 7 && !parse_arg("runs", argv[7], runs))) {
     return 2;
   }
   const auto app = core::parse_app(argv[2]);
@@ -316,7 +306,7 @@ int cmd_gantt(int argc, char** argv) {
   int tiles = 0, ncpu = 0, ngpu = 0;
   double sigma = 0.0;
   if (!parse_shape_args(argv, tiles, ncpu, ngpu) ||
-      (argc > 7 && !parse_double_arg("sigma", argv[7], sigma))) {
+      (argc > 7 && !parse_arg("sigma", argv[7], sigma))) {
     return 2;
   }
   const auto app = core::parse_app(argv[2]);
@@ -338,7 +328,7 @@ int cmd_gantt(int argc, char** argv) {
 int cmd_dot(int argc, char** argv) {
   if (argc < 5) return usage();
   int tiles = 0;
-  if (!parse_int_arg("tiles", argv[3], tiles)) return 2;
+  if (!parse_arg("tiles", argv[3], tiles)) return 2;
   const auto app = core::parse_app(argv[2]);
   const auto graph = core::make_graph(app, tiles);
   dag::write_dot(graph, argv[4]);
@@ -377,33 +367,33 @@ int cmd_serve_bench(int argc, char** argv) {
   for (; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--sessions" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_sessions);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_sessions);
     } else if (flag == "--rate" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_rate);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_rate);
     } else if (flag == "--queue" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_queue);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_queue);
     } else if (flag == "--active" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_active);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_active);
     } else if (flag == "--workers" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_workers);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_workers);
     } else if (flag == "--deadline-us" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_deadline_us);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_deadline_us);
     } else if (flag == "--retries" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_retries);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_retries);
     } else if (flag == "--backend" && i + 1 < argc) {
       cfg.inference_backend = argv[++i];
     } else if (flag == "--arrival" && i + 1 < argc) {
       cfg.serve_arrival = argv[++i];
     } else if (flag == "--burst-factor" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_burst_factor);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_burst_factor);
     } else if (flag == "--pareto-alpha" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_pareto_alpha);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_pareto_alpha);
     } else if (flag == "--tenant-rate" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_tenant_rate);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_tenant_rate);
     } else if (flag == "--tenant-burst" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.serve_tenant_burst);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_tenant_burst);
     } else if (flag == "--restart-budget" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.serve_restart_budget);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_restart_budget);
     } else if (flag == "--reload-watch" && i + 1 < argc) {
       cfg.serve_reload_watch = argv[++i];
     } else {
@@ -543,33 +533,33 @@ int cmd_cluster_bench(int argc, char** argv) {
     if (flag == "--app" && i + 1 < argc) {
       cfg.app = argv[++i];
     } else if (flag == "--tiles" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.tiles);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.tiles);
     } else if (flag == "--ncpu" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.ncpu);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.ncpu);
     } else if (flag == "--ngpu" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.ngpu);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.ngpu);
     } else if (flag == "--sigma" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.sigma);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.sigma);
     } else if (flag == "--scheduler" && i + 1 < argc) {
       cfg.scheduler = argv[++i];
     } else if (flag == "--runs" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], runs);
+      ok = parse_arg(flag.c_str(), argv[++i], runs);
     } else if (flag == "--seed" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.seed);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.seed);
     } else if (flag == "--shards" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.cluster_shards);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.cluster_shards);
     } else if (flag == "--stale-ms" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.cluster_stale_ms);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.cluster_stale_ms);
     } else if (flag == "--hb-ms" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.cluster_hb_ms);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.cluster_hb_ms);
     } else if (flag == "--parallel" && i + 1 < argc) {
-      ok = parse_int_arg(flag.c_str(), argv[++i], cfg.cluster_parallel);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.cluster_parallel);
     } else if (flag == "--comm-tile-bytes" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.comm_tile_bytes);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.comm_tile_bytes);
     } else if (flag == "--comm-bandwidth" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.comm_bandwidth);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.comm_bandwidth);
     } else if (flag == "--comm-latency-ms" && i + 1 < argc) {
-      ok = parse_double_arg(flag.c_str(), argv[++i], cfg.comm_latency_ms);
+      ok = parse_arg(flag.c_str(), argv[++i], cfg.comm_latency_ms);
     } else if (flag == "--backend" && i + 1 < argc) {
       cfg.inference_backend = argv[++i];
     } else {

@@ -5,17 +5,18 @@
 // Usage: train_and_transfer [train_tiles] [test_tiles] [episodes]
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/readys.hpp"
 
 using namespace readys;
 
-int main(int argc, char** argv) {
-  const int train_tiles = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int test_tiles = argc > 2 ? std::atoi(argv[2]) : 8;
-  const int episodes = argc > 3 ? std::atoi(argv[3]) : 2500;
+int main(int argc, char** argv) try {
+  const int train_tiles =
+      argc > 1 ? util::parse_int("train_tiles", argv[1]) : 4;
+  const int test_tiles = argc > 2 ? util::parse_int("test_tiles", argv[2]) : 8;
+  const int episodes = argc > 3 ? util::parse_int("episodes", argv[3]) : 2500;
 
   const auto costs = core::make_costs(core::App::kCholesky);
   const auto platform = sim::Platform::hybrid(2, 2);
@@ -59,4 +60,7 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n(improvement > 1: the transferred agent beats HEFT)\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

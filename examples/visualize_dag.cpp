@@ -5,15 +5,15 @@
 // Usage: visualize_dag [tiles] [output_dir]
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/readys.hpp"
 
 using namespace readys;
 
-int main(int argc, char** argv) {
-  const int tiles = argc > 1 ? std::atoi(argv[1]) : 4;
+int main(int argc, char** argv) try {
+  const int tiles = argc > 1 ? util::parse_int("tiles", argv[1]) : 4;
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
   for (auto app : {core::App::kCholesky, core::App::kLu, core::App::kQr}) {
@@ -41,4 +41,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nrender with: dot -Tpng <file>.dot -o <file>.png\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -16,9 +16,6 @@ SchedulingEnv::SchedulingEnv(const dag::TaskGraph& graph,
       config_(config),
       action_rng_(config.seed ^ 0xD1B54A32D192ED03ULL),
       heft_ref_(sched::heft_expected_makespan(graph, platform, costs)) {
-  if (config.incremental_encoding) {
-    inc_ = std::make_unique<IncrementalEncoder>(graph, costs, config.window);
-  }
   reset(config.seed);
 }
 
@@ -55,14 +52,8 @@ void SchedulingEnv::advance_to_decision() {
         // ∅ is legal unless declining would deadlock: nothing running and
         // this is the last idle resource that could take the work.
         const bool allow_idle = engine_.any_running() || cands.size() > 1;
-        {
-          obs::Span encode_span("rl/state_encode", "train");
-          if (inc_) {
-            inc_->encode(engine_, current, allow_idle);
-          } else {
-            obs_ = encoder_.encode(engine_, current, allow_idle);
-          }
-        }
+        obs::Span encode_span("rl/state_encode", "train");
+        encoder_.encode(engine_, current, allow_idle);
         return;
       }
     }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -40,11 +39,6 @@ class SchedulingEnv {
     /// ready actions. none() keeps the environment bit-exact with the
     /// fault-free construction.
     sim::FaultModel faults = sim::FaultModel::none();
-    /// Maintain observations with the IncrementalEncoder (bit-identical
-    /// to the full encoder by contract; see state_encoder.hpp). Off by
-    /// default: the training loop keeps its historical code path, serve
-    /// sessions turn it on.
-    bool incremental_encoding = false;
   };
 
   struct StepResult {
@@ -69,7 +63,7 @@ class SchedulingEnv {
 
   /// Valid between reset() and a step() returning done.
   const Observation& observation() const noexcept {
-    return inc_ ? inc_->observation() : obs_;
+    return encoder_.observation();
   }
 
   bool done() const noexcept { return engine_.finished(); }
@@ -79,7 +73,6 @@ class SchedulingEnv {
   std::size_t decisions_this_episode() const noexcept { return decisions_; }
 
   const sim::SimEngine& engine() const noexcept { return engine_; }
-  const StateEncoder& encoder() const noexcept { return encoder_; }
 
  private:
   /// Advances the engine until a decision is possible (or termination)
@@ -90,12 +83,10 @@ class SchedulingEnv {
   std::vector<sim::ResourceId> candidates() const;
 
   sim::SimEngine engine_;
-  StateEncoder encoder_;
-  std::unique_ptr<IncrementalEncoder> inc_;  ///< when incremental_encoding
+  IncrementalEncoder encoder_;  ///< owns the current observation
   Config config_;
   util::Rng action_rng_;  ///< current-processor draw (independent of noise)
   double heft_ref_;
-  Observation obs_;
   std::unordered_set<int> declined_;  ///< resources parked by ∅ this instant
   std::size_t decisions_ = 0;
 };

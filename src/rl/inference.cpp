@@ -186,42 +186,34 @@ void F32SimdBackend::forward(const Observation& obs, InferenceOutput& out) {
     throw std::invalid_argument(
         "F32SimdBackend::forward: resource width mismatch");
   }
+  // Â is consumed only through its CSR view: O(nnz) instead of O(n^2),
+  // the decisive win for large windows. Every encoder fills it.
+  if (obs.ahat_csr.rows() != n) {
+    throw std::invalid_argument(
+        "F32SimdBackend::forward: ahat_csr missing or sized for another "
+        "window");
+  }
 
   arena_.reset();
 
-  // Inputs to float. Â is consumed through its CSR view when the encoder
-  // provided one (O(nnz) instead of O(n^2) — the decisive win for large
-  // windows); hand-assembled observations fall back to the dense matrix.
   float* x = arena_.alloc_f32(n * f);
   for (std::size_t i = 0; i < n * f; ++i) {
     x[i] = static_cast<float>(obs.features[i]);
   }
-  const bool csr = !obs.ahat_csr.empty() && obs.ahat_csr.rows() == n;
-  float* ahat = nullptr;
-  if (!csr) {
-    ahat = arena_.alloc_f32(n * n);
-    for (std::size_t i = 0; i < n * n; ++i) {
-      ahat[i] = static_cast<float>(obs.ahat[i]);
-    }
-  }
 
   // GCN trunk: H' = Ahat (H W) + b, ReLU between layers (not after the
-  // last) — the same composition as PolicyNet::embed. The CSR and dense
-  // products accumulate term for term in the same order (ascending
-  // columns), so both routes produce the same floats.
+  // last) — the same composition as PolicyNet::embed. The CSR product
+  // accumulates term for term in the dense kernel's order (ascending
+  // columns), so it produces the same floats as a dense Â would.
   const std::size_t layers = w_->gcn_in.size();
   for (std::size_t l = 0; l < layers; ++l) {
     const std::size_t in = w_->gcn_in[l];
     float* xw = arena_.alloc_f32(n * h);
     tensor::f32::matmul_bias(x, n, in, w_->gcn_w[l].data(), h, nullptr, xw);
     float* hl = arena_.alloc_f32(n * h);
-    if (csr) {
-      tensor::f32::spmm_bias(obs.ahat_csr.row_ptr.data(),
-                             obs.ahat_csr.col.data(), obs.ahat_csr.val.data(),
-                             n, xw, h, w_->gcn_b[l].data(), hl);
-    } else {
-      tensor::f32::matmul_bias(ahat, n, n, xw, h, w_->gcn_b[l].data(), hl);
-    }
+    tensor::f32::spmm_bias(obs.ahat_csr.row_ptr.data(), obs.ahat_csr.col.data(),
+                           obs.ahat_csr.val.data(), n, xw, h,
+                           w_->gcn_b[l].data(), hl);
     if (l + 1 < layers) tensor::f32::relu_inplace(hl, n * h);
     x = hl;
   }

@@ -12,19 +12,11 @@ ReadysScheduler::ReadysScheduler(const PolicyNet& net, int window,
     : net_(&net), window_(window), opts_(opts), rng_(opts.seed) {}
 
 void ReadysScheduler::reset(const sim::EngineView& engine) {
-  if (opts_.incremental) {
-    inc_ = std::make_unique<IncrementalEncoder>(engine.graph(), engine.costs(),
-                                                window_);
-    // The f32 backend reads Â through the CSR view only; skip the O(n^2)
-    // dense build. The f64 reference forward needs the dense matrix.
-    if (opts_.backend == InferenceBackendKind::kF32Simd) {
-      inc_->set_sparse_ahat(true);
-    }
-    encoder_.reset();
-  } else {
-    encoder_ = std::make_unique<StateEncoder>(engine.graph(), engine.costs(),
-                                              window_);
-    inc_.reset();
+  encoder_.emplace(engine.graph(), engine.costs(), window_);
+  // The f32 backend reads Â through the CSR view only; skip the O(n^2)
+  // dense build. The f64 reference forward needs the dense matrix.
+  if (opts_.backend == InferenceBackendKind::kF32Simd) {
+    encoder_->set_sparse_ahat(true);
   }
   // Rebuilt only when the net's weights actually changed since the last
   // episode (weight_version is bumped on optimizer step / deserialize),
@@ -56,9 +48,7 @@ std::vector<sim::Assignment> ReadysScheduler::decide(
         opts_.random_offer ? rng_.uniform_index(cands.size()) : 0;
     const sim::ResourceId current = cands[pick];
     const bool allow_idle = engine.any_running() || cands.size() > 1;
-    const Observation& obs =
-        inc_ ? inc_->encode(engine, current, allow_idle)
-             : (obs_full_ = encoder_->encode(engine, current, allow_idle));
+    const Observation& obs = encoder_->encode(engine, current, allow_idle);
     backend_->forward(obs, out_);
 
     // Greedy argmax or categorical sample over π.
@@ -106,11 +96,9 @@ ReadysOptions parse_readys_options(const sched::SpecOptions& spec,
   for (const auto& [key, value] : spec.items) {
     if (key == "backend") {
       opts.backend = parse_inference_backend(value);  // throws on bad value
-    } else if (key == "incremental") {
-      opts.incremental = sched::option_int(key, value, 0, 1) != 0;
     } else {
       throw std::invalid_argument("unknown readys option \"" + key +
-                                  "\" (known: backend, incremental)");
+                                  "\" (known: backend)");
     }
   }
   return opts;

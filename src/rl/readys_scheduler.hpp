@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <unordered_set>
 
 #include "rl/inference.hpp"
@@ -11,8 +12,7 @@
 namespace readys::rl {
 
 /// How a ReadysScheduler evaluates the policy. The defaults keep the
-/// historical bit-exact behavior (f64 reference arithmetic) while
-/// enabling the incremental encoder, which is bit-identical by contract.
+/// historical bit-exact behavior (f64 reference arithmetic).
 struct ReadysOptions {
   bool greedy = true;          ///< argmax instead of sampling from π
   std::uint64_t seed = 1;      ///< rng seed (offers + sampling)
@@ -21,9 +21,6 @@ struct ReadysOptions {
   /// bit-for-bit; kF32Simd runs the float32 SIMD fast path (argmax
   /// agreement pinned by tests, not bit-exact).
   InferenceBackendKind backend = InferenceBackendKind::kF64Ref;
-  /// Maintain the window observation incrementally between decisions
-  /// instead of re-encoding from scratch. Bit-identical either way.
-  bool incremental = true;
 };
 
 /// Adapter running a (trained) READYS policy under the generic Simulator,
@@ -51,10 +48,8 @@ class ReadysScheduler : public sim::Scheduler {
   util::Rng rng_;
   std::unique_ptr<InferenceBackend> backend_;
   std::uint64_t backend_version_ = 0;  ///< net weight_version backend_ saw
-  std::unique_ptr<IncrementalEncoder> inc_;
-  std::unique_ptr<StateEncoder> encoder_;  ///< when !opts_.incremental
-  Observation obs_full_;                   ///< scratch for the full encoder
-  InferenceOutput out_;                    ///< scratch, reused per decision
+  std::optional<IncrementalEncoder> encoder_;  ///< built per reset()
+  InferenceOutput out_;  ///< scratch, reused per decision
   std::unordered_set<int> declined_;
   double last_instant_ = -1.0;
 };
@@ -62,7 +57,7 @@ class ReadysScheduler : public sim::Scheduler {
 /// Registers (or re-registers) the trained policy in sched::registry()
 /// under the name "readys", so bench/CLI code can construct it like any
 /// heuristic: make_scheduler("readys", {.seed = 3, .greedy = false}), or
-/// with per-spec overrides: "readys(backend=f32simd,incremental=1)".
+/// with per-spec overrides: "readys(backend=f32simd)".
 /// `defaults` seeds the options every spec starts from (the CLI routes
 /// RunConfig::inference_backend through it), so plain "readys" — and
 /// wrapped forms like "guarded:readys" — inherit the configured backend.

@@ -21,8 +21,9 @@ struct Observation {
   tensor::Tensor ahat;      ///< |window| x |window| renormalized adjacency
   /// CSR view of `ahat` (same values bit for bit; see
   /// nn::normalized_adjacency_csr). Both encoders fill it; the f32
-  /// inference backend consumes it to stay O(nnz) per decision. Empty on
-  /// hand-assembled observations — consumers must fall back to `ahat`.
+  /// inference backend reads Â only from here (O(nnz) per decision) and
+  /// rejects an observation without it, so a hand-assembled observation
+  /// must fill it too.
   nn::SparseAdj ahat_csr;
   std::vector<std::size_t> ready_positions;  ///< rows that are ready tasks
   std::vector<dag::TaskId> ready_tasks;      ///< aligned with positions
@@ -39,9 +40,11 @@ struct Observation {
   std::size_t idle_action() const noexcept { return ready_tasks.size(); }
 };
 
-/// Builds Observations from a SimEngine. Holds the per-graph static
-/// features (computed once) so per-decision encoding touches only the
-/// window.
+/// Builds Observations from a SimEngine from scratch at every call. Holds
+/// the per-graph static features (computed once) so per-decision encoding
+/// touches only the window. Production code encodes with
+/// IncrementalEncoder; this stateless encoder is the reference the
+/// IncrementalEncoder equivalence tests compare against.
 class StateEncoder {
  public:
   /// Per-node feature width: 2 degrees + one-hot type + descendant
@@ -91,9 +94,10 @@ class StateEncoder {
   double time_scale_;  ///< max expected kernel duration on a CPU
 };
 
-/// Incremental counterpart of StateEncoder for the inference fast path.
-/// Produces Observations bit-identical to StateEncoder::encode on the
-/// same engine state, but amortizes the per-decision work:
+/// The encoder of every production path: SchedulingEnv (training and
+/// serve sessions) and ReadysScheduler (the simulator adapter). Produces
+/// Observations bit-identical to StateEncoder::encode on the same engine
+/// state, but amortizes the per-decision work:
 ///
 ///  - static feature columns (degrees, type one-hot, descendant profile
 ///    F(i)) and the normalized CPU/GPU duration columns are precomputed
@@ -126,14 +130,12 @@ class IncrementalEncoder {
   const Observation& encode(const sim::EngineView& engine,
                             sim::ResourceId current);
 
-  /// The observation produced by the last encode() call.
+  /// The observation produced by the last encode() call. Encoding after
+  /// an engine reset, or from another engine on the same graph, needs no
+  /// reset here: dynamic state is re-derived from the engine every
+  /// encode, and the cached window depends only on the graph and the
+  /// seed lists it is keyed on.
   const Observation& observation() const noexcept { return obs_; }
-
-  /// Drops the cached topology; the next encode() rebuilds from scratch.
-  /// Reuse across engine resets is safe without this (dynamic state is
-  /// re-derived from the engine every encode); call it when the encoder
-  /// is re-pointed at a different engine for the same graph.
-  void invalidate() noexcept { valid_ = false; }
 
   /// When on, observations carry Â only as the CSR view (ahat_csr) and
   /// `ahat` is left an empty 0x0 tensor so a dense consumer fails loudly

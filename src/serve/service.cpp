@@ -47,6 +47,11 @@ DecisionService::DecisionService(const rl::PolicyNet& net,
       sup_(cfg_.supervise,
            std::max<std::size_t>(1, static_cast<std::size_t>(
                                         std::max(0, cfg_.workers)))) {
+  if (!cfg_.incremental_encoding) {
+    throw std::invalid_argument(
+        "ServiceConfig::incremental_encoding=false is no longer supported "
+        "(the IncrementalEncoder is the only encoder)");
+  }
   cfg_.queue_capacity = std::max<std::size_t>(1, cfg_.queue_capacity);
   cfg_.max_active = std::max<std::size_t>(1, cfg_.max_active);
   cfg_.workers = std::max(0, cfg_.workers);
@@ -126,8 +131,7 @@ std::unique_ptr<Session> DecisionService::build_session(
     graph = it->second;
   }
   return std::make_unique<Session>(id, spec, platform_, std::move(graph),
-                                   agent_.window, attempt,
-                                   cfg_.incremental_encoding);
+                                   agent_.window, attempt);
 }
 
 const TenantPolicy& DecisionService::policy_for(

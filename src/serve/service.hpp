@@ -81,9 +81,9 @@ struct ServiceConfig {
   /// per version (argmax agreement pinned by tests, not bit-exact).
   rl::InferenceBackendKind inference_backend =
       rl::InferenceBackendKind::kF64Ref;
-  /// Maintain session observations incrementally between decisions
-  /// (bit-identical by contract; on by default — long-lived sessions are
-  /// exactly the case the amortized encode pays for).
+  /// Must stay true (false throws std::invalid_argument at
+  /// construction): sessions always encode incrementally. Kept only
+  /// because readys_bench still sets it; delete it once it stops.
   bool incremental_encoding = true;
   /// QoS policy for tenants without an explicit entry in `tenants`.
   TenantPolicy default_tenant{};
@@ -309,7 +309,7 @@ class DecisionService {
   rl::AgentConfig agent_;
   sim::Platform platform_;
   /// Graph cache: sessions on the same (app, tiles) share one immutable
-  /// TaskGraph (SimEngine/StateEncoder hold pointers into it).
+  /// TaskGraph (SimEngine and the encoder hold pointers into it).
   std::map<std::pair<int, int>, std::shared_ptr<const dag::TaskGraph>>
       graphs_;
   std::mutex graphs_mutex_;

@@ -1,6 +1,7 @@
 #include "serve/session.hpp"
 
 #include <limits>
+#include <stdexcept>
 
 #include "sched/guarded.hpp"
 
@@ -9,7 +10,7 @@ namespace readys::serve {
 namespace {
 
 rl::SchedulingEnv::Config env_config(const SessionSpec& spec, int window,
-                                     int attempt, bool incremental) {
+                                     int attempt) {
   rl::SchedulingEnv::Config cfg;
   cfg.sigma = spec.sigma;
   cfg.window = window;
@@ -20,7 +21,6 @@ rl::SchedulingEnv::Config env_config(const SessionSpec& spec, int window,
   cfg.seed = spec.seed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(
                                                      attempt);
   cfg.faults = spec.faults;
-  cfg.incremental_encoding = incremental;
   return cfg;
 }
 
@@ -61,11 +61,16 @@ Session::Session(std::uint64_t id, SessionSpec spec,
       attempt_(attempt),
       graph_(std::move(graph)),
       env_(*graph_, platform, core::make_costs(spec.app),
-           env_config(spec, window, attempt, incremental_encoding)),
+           env_config(spec, window, attempt)),
       // The action stream derives from the spec seed, not the attempt:
       // sampling-mode decisions replay identically when the env state
       // does, and stay independent of every other session either way.
       action_rng_(spec.seed ^ 0x5E27E5E55104A7ULL) {
+  if (!incremental_encoding) {
+    throw std::invalid_argument(
+        "Session: incremental_encoding=false is no longer supported (the "
+        "IncrementalEncoder is the only encoder)");
+  }
   env_.reset();
   result_.id = id_;
   result_.tenant = spec_.tenant;

@@ -84,7 +84,7 @@ struct SessionResult {
 };
 
 /// One live DAG session inside the service: the env, the graph it
-/// observes (owned here — SimEngine and StateEncoder keep raw pointers
+/// observes (owned here — SimEngine and the encoder keep raw pointers
 /// into it, so the address must be stable for the session's lifetime),
 /// an MCT scratch scheduler for deadline degrades, and the per-session
 /// action stream. Non-movable for the same pointer-stability reason;
@@ -94,12 +94,12 @@ class Session {
   /// `attempt` counts retries (0 = first run): the env seed is derived
   /// from (spec.seed, attempt) so a transient-fault resubmission replays
   /// under a fresh fault/noise stream while staying deterministic.
-  /// `incremental_encoding` selects the IncrementalEncoder for this
-  /// session's env (bit-identical observations; the long-lived serving
-  /// path wants the amortized encode).
+  /// `incremental_encoding` must be true (false throws
+  /// std::invalid_argument): the env always encodes incrementally. Kept
+  /// only because readys_bench still passes it; delete it once it stops.
   Session(std::uint64_t id, SessionSpec spec, const sim::Platform& platform,
           std::shared_ptr<const dag::TaskGraph> graph, int window,
-          int attempt = 0, bool incremental_encoding = false);
+          int attempt = 0, bool incremental_encoding = true);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

@@ -1,6 +1,7 @@
 #include "util/env.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
@@ -23,6 +24,15 @@ const char* raw(const char* name) {
                               ", got '" + text + "'");
 }
 
+template <typename T, typename Parse>
+std::vector<T> parse_list(const char* name, const char* v, Parse parse) {
+  std::vector<T> out;
+  for (const auto& piece : split(v, ',')) out.push_back(parse(name, piece));
+  return out;
+}
+
+}  // namespace
+
 int parse_int(const char* name, const std::string& text) {
   const char* s = text.c_str();
   char* end = nullptr;
@@ -35,6 +45,17 @@ int parse_int(const char* name, const std::string& text) {
   return static_cast<int>(parsed);
 }
 
+std::uint64_t parse_uint64(const char* name, const std::string& text) {
+  // from_chars, unlike strtoull, rejects a sign: "-1" must not wrap.
+  const char* end = text.data() + text.size();
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || text.empty()) {
+    malformed(name, text, "a non-negative integer");
+  }
+  return parsed;
+}
+
 double parse_double(const char* name, const std::string& text) {
   const char* s = text.c_str();
   char* end = nullptr;
@@ -45,15 +66,6 @@ double parse_double(const char* name, const std::string& text) {
   }
   return parsed;
 }
-
-template <typename T, typename Parse>
-std::vector<T> parse_list(const char* name, const char* v, Parse parse) {
-  std::vector<T> out;
-  for (const auto& piece : split(v, ',')) out.push_back(parse(name, piece));
-  return out;
-}
-
-}  // namespace
 
 int env_int(const char* name, int fallback) {
   const char* v = raw(name);

@@ -1,9 +1,19 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace readys::util {
+
+/// Whole-string number parses shared by the env readers below and the
+/// command-line programs. "12x", "", an out-of-range value (a negative
+/// one for the unsigned form) or a non-finite number throws
+/// std::invalid_argument naming `name` ("tiles must be an integer, got
+/// '12x'") instead of being truncated the way atoi/atof would.
+int parse_int(const char* name, const std::string& text);
+std::uint64_t parse_uint64(const char* name, const std::string& text);
+double parse_double(const char* name, const std::string& text);
 
 /// Reads an environment variable, falling back to `fallback` when it is
 /// unset or empty. Any other value must parse whole ("12x" and "abc" are

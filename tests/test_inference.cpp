@@ -406,6 +406,11 @@ TEST(InferenceBackend, RejectsDegenerateObservations) {
   bad.features = rt::Tensor(bad.window.size(), 3);
   const auto f32b = net.make_inference(rr::InferenceBackendKind::kF32Simd);
   EXPECT_THROW(f32b->forward(bad, out), std::invalid_argument);
+  // The f32 backend reads Â only through its CSR view: an observation
+  // without one is rejected, not silently run on the dense matrix.
+  rr::Observation no_csr = obs_list.front();
+  no_csr.ahat_csr.clear();
+  EXPECT_THROW(f32b->forward(no_csr, out), std::invalid_argument);
 }
 
 // --- arena ----------------------------------------------------------------
@@ -431,13 +436,14 @@ TEST(BaseSpec, GrammarMatchesAndRejects) {
   EXPECT_TRUE(p.spec.items.empty());
   EXPECT_TRUE(p.spec.inner.empty());
 
-  p = rx::parse_base_spec("readys(backend=f32simd,incremental=0)", "readys");
+  // The grammar is key-agnostic: unknown keys are the registry's call.
+  p = rx::parse_base_spec("readys(backend=f32simd,other=0)", "readys");
   ASSERT_TRUE(p.matched);
   EXPECT_TRUE(p.error.empty());
   ASSERT_EQ(p.spec.items.size(), 2u);
   EXPECT_EQ(p.spec.items[0].first, "backend");
   EXPECT_EQ(p.spec.items[0].second, "f32simd");
-  EXPECT_EQ(p.spec.items[1].first, "incremental");
+  EXPECT_EQ(p.spec.items[1].first, "other");
 
   EXPECT_FALSE(rx::parse_base_spec("readysx", "readys").matched);
   EXPECT_FALSE(rx::parse_base_spec("heft", "readys").matched);
@@ -458,7 +464,7 @@ TEST(ReadysSpec, RegistryResolvesBackendsAndComposesWithPrefixes) {
   auto& reg = rx::registry();
   EXPECT_TRUE(reg.contains("readys"));
   EXPECT_TRUE(reg.contains("readys(backend=f32simd)"));
-  EXPECT_TRUE(reg.contains("readys(backend=f64ref,incremental=0)"));
+  EXPECT_TRUE(reg.contains("readys(backend=f64ref)"));
   EXPECT_FALSE(reg.contains("readys(backend=f16)"));
   EXPECT_FALSE(reg.contains("readys(bogus=1)"));
   EXPECT_TRUE(reg.contains("guarded:readys"));
@@ -468,26 +474,25 @@ TEST(ReadysSpec, RegistryResolvesBackendsAndComposesWithPrefixes) {
   const auto names = reg.names();
   EXPECT_NE(std::find(names.begin(), names.end(), "readys"), names.end());
 
-  try {
-    (void)reg.make("readys(bogus=1)");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("backend, incremental"),
-              std::string::npos);
+  // An unknown key, `incremental` included (the encoder is not
+  // selectable), is rejected naming the known set.
+  for (const char* spec : {"readys(bogus=1)", "readys(incremental=1)"}) {
+    try {
+      (void)reg.make(spec);
+      FAIL() << "expected invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("(known: backend)"),
+                std::string::npos)
+          << e.what();
+    }
   }
 
-  // Spec-configured construction runs end to end, and the two encoders
-  // land the identical schedule under the bit-exact f64ref backend.
+  // Spec-configured construction runs end to end.
   const auto graph = rd::cholesky_graph(4);
   const auto costs = rs::CostModel::cholesky();
   const auto platform = rs::Platform::hybrid(2, 2);
-  auto full = reg.make("readys(incremental=0)", {.seed = 3});
-  auto inc = reg.make("readys(incremental=1)", {.seed = 3});
-  const double mk_full =
-      rs::simulate_makespan(graph, platform, costs, *full, 0.2, 11);
-  const double mk_inc =
-      rs::simulate_makespan(graph, platform, costs, *inc, 0.2, 11);
-  EXPECT_EQ(mk_full, mk_inc);
+  auto ref = reg.make("readys(backend=f64ref)", {.seed = 3});
+  EXPECT_GT(rs::simulate_makespan(graph, platform, costs, *ref, 0.2, 11), 0.0);
 
   auto fast = reg.make("readys(backend=f32simd)", {.seed = 3});
   const double mk_fast =

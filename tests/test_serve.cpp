@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -380,6 +381,31 @@ TEST(Serve, PumpThrowsWhenWorkersAreRunning) {
   rv::DecisionService svc(net, agent, sc);
   EXPECT_THROW(svc.pump(), std::logic_error);
   svc.shutdown();
+}
+
+TEST(Serve, RejectsTurningIncrementalEncodingOff) {
+  // The incremental encoder is the only encoder: the leftover flags
+  // must not silently accept the removed full-encoder path.
+  const auto agent = small_agent();
+  const auto net = small_net(agent);
+  rv::ServiceConfig sc = pump_config();
+  sc.incremental_encoding = false;
+  try {
+    rv::DecisionService svc(net, agent, sc);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("incremental_encoding"),
+              std::string::npos);
+  }
+
+  const auto graph = std::make_shared<const readys::dag::TaskGraph>(
+      rc::make_graph(rc::App::kCholesky, 3));
+  const auto spec = spec_for(rc::App::kCholesky, 3, 1);
+  const auto platform = rs::Platform::hybrid(2, 2);
+  EXPECT_THROW(rv::Session(1, spec, platform, graph, agent.window, 0, false),
+               std::invalid_argument);
+  const rv::Session session(1, spec, platform, graph, agent.window);
+  EXPECT_GT(session.observation().num_actions(), 0u);
 }
 
 TEST(Serve, ResultsAreStableAcrossBatchWidths) {

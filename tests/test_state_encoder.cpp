@@ -307,3 +307,45 @@ TEST(IncrementalEncoder, SparseAhatModeSkipsDenseAndKeepsCsr) {
     ASSERT_EQ(a.features[i], b.features[i]);
   }
 }
+
+// --- SchedulingEnv differential -------------------------------------------
+//
+// Training observes through SchedulingEnv, whose IncrementalEncoder lives
+// across reset(): every observation must still equal a from-scratch
+// StateEncoder::encode of the same engine state, through fault
+// kill-and-re-ready, random offers and ∅ declines, episode after episode.
+
+#include "rl/env.hpp"
+
+TEST(SchedulingEnv, ObservationsMatchReferenceEncoderAcrossResets) {
+  Fixture f;
+  rr::SchedulingEnv::Config cfg;
+  cfg.sigma = 0.3;
+  cfg.window = 2;
+  cfg.seed = 5;
+  cfg.random_offer = true;
+  cfg.faults.outage_rate = 0.05;  // expected first arrival ~20 ms
+  cfg.faults.mean_downtime = 10.0;
+  rr::SchedulingEnv env(f.graph, f.platform, f.costs, cfg);
+  const rr::StateEncoder reference(f.graph, f.costs, cfg.window);
+  readys::util::Rng rng(17);
+  std::size_t compared = 0, idles = 0, outages = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    const rr::Observation* obs = &env.reset(seed);
+    for (bool done = false; !done; obs = &env.observation()) {
+      expect_observations_equal(
+          reference.encode(env.engine(), obs->current_resource,
+                           obs->allow_idle),
+          *obs);
+      if (HasFatalFailure()) return;
+      ++compared;
+      const std::size_t a = rng.uniform_index(obs->num_actions());
+      if (obs->allow_idle && a == obs->idle_action()) ++idles;
+      done = env.step(a).done;
+    }
+    outages += env.engine().num_outages();
+  }
+  EXPECT_GT(compared, 4 * f.graph.num_tasks());
+  EXPECT_GT(idles, 0u) << "the random policy never declined";
+  EXPECT_GT(outages, 0u) << "no outage fired; raise outage_rate";
+}
