@@ -44,7 +44,8 @@ void BM_GcnForward(benchmark::State& state) {
   nn::GCNLayer layer(14, 64, rng);
   std::vector<std::pair<std::size_t, std::size_t>> edges;
   for (std::size_t i = 0; i + 1 < nodes; ++i) edges.emplace_back(i, i + 1);
-  const tensor::Var ahat(nn::normalized_adjacency(nodes, edges));
+  tensor::SparseAdj ahat;
+  nn::normalized_adjacency_csr(nodes, edges, ahat);
   const tensor::Var h(tensor::Tensor::randn(nodes, 14, rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(layer.forward(ahat, h));

@@ -88,8 +88,7 @@ int main() {
   const int tiles = util::env_int("READYS_TILES", 10);
   const int window = util::env_int("READYS_WINDOW", 2);
   const int episodes = util::env_int("READYS_EVAL_SEEDS", 5);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(util::env_int("READYS_SEED", 1));
+  const std::uint64_t seed = util::env_uint64("READYS_SEED", 1);
 
   rl::AgentConfig agent;
   agent.hidden = util::env_int("READYS_HIDDEN", 32);

@@ -95,7 +95,7 @@ int main() {
   cfg.episodes = util::env_int("READYS_BENCH_EPISODES", 192);
   cfg.trainer = util::env_string("READYS_BENCH_TRAINER", "a2c");
   cfg.agent.hidden = util::env_int("READYS_HIDDEN", 32);
-  cfg.seed = static_cast<std::uint64_t>(util::env_int("READYS_BENCH_SEED", 1));
+  cfg.seed = util::env_uint64("READYS_BENCH_SEED", 1);
   cfg.validate();
 
   const auto graph = cfg.make_graph();

@@ -1,10 +1,12 @@
 #include "core/run_config.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 
@@ -96,13 +98,18 @@ class JsonReader {
     }
   }
 
+  /// A JSON number with a finite value. strtod alone would also take
+  /// nan, inf, hex and a leading '+', and turn 1e999 into inf.
   double parse_number() {
+    static const std::regex kJsonNumber(
+        R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
     skip_ws();
-    const char* begin = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) fail("expected a number");
-    pos_ += static_cast<std::size_t>(end - begin);
+    const std::size_t start = pos_;
+    pos_ = std::min(s_.find_first_not_of("+-.0123456789eE", start), s_.size());
+    const std::string text = s_.substr(start, pos_ - start);
+    if (!std::regex_match(text, kJsonNumber)) fail("expected a number");
+    const double v = std::strtod(text.c_str(), nullptr);
+    if (!std::isfinite(v)) fail("number out of range");
     return v;
   }
 
@@ -332,8 +339,7 @@ RunConfig RunConfig::from_env() {
   cfg.sigma = util::env_double("READYS_SIGMA", cfg.sigma);
   cfg.episodes = util::env_int("READYS_TRAIN_EPISODES", cfg.episodes);
   cfg.num_envs = util::env_int("READYS_NUM_ENVS", cfg.num_envs);
-  cfg.seed = static_cast<std::uint64_t>(
-      util::env_int("READYS_SEED", static_cast<int>(cfg.seed)));
+  cfg.seed = util::env_uint64("READYS_SEED", cfg.seed);
   cfg.agent.hidden = util::env_int("READYS_HIDDEN", cfg.agent.hidden);
   cfg.serve_sessions =
       util::env_int("READYS_SERVE_SESSIONS", cfg.serve_sessions);

@@ -15,16 +15,8 @@ GCNLayer::GCNLayer(std::size_t in_features, std::size_t out_features,
   bias_ = register_parameter("bias", Tensor::zeros(1, out_features));
 }
 
-Var GCNLayer::forward(const Var& ahat, const Var& h) const {
-  return tensor::add(tensor::matmul(ahat, tensor::matmul(h, weight_)),
-                     bias_);
-}
-
-Var GCNLayer::forward_packed(
-    const std::shared_ptr<const std::vector<Tensor>>& blocks,
-    const Var& h) const {
-  return tensor::add(
-      tensor::block_diag_matmul(blocks, tensor::matmul(h, weight_)), bias_);
+Var GCNLayer::forward(const tensor::SparseAdj& ahat, const Var& h) const {
+  return tensor::add(tensor::spmm(ahat, tensor::matmul(h, weight_)), bias_);
 }
 
 Tensor normalized_adjacency(
@@ -53,7 +45,7 @@ Tensor normalized_adjacency(
 void normalized_adjacency_csr(
     std::size_t n,
     const std::vector<std::pair<std::size_t, std::size_t>>& edges,
-    SparseAdj& out) {
+    tensor::SparseAdj& out) {
   // Row degrees count the self loop plus each (symmetrized) incident
   // edge; summing 1.0s and counting give the same exact double, so
   // dinv_sqrt matches the dense builder bit for bit.

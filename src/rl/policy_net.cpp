@@ -1,6 +1,7 @@
 #include "rl/policy_net.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "obs/telemetry.hpp"
 #include "rl/inference.hpp"
@@ -42,11 +43,19 @@ std::unique_ptr<InferenceBackend> PolicyNet::make_inference(
   return make_inference_backend(*this, kind);
 }
 
-Var PolicyNet::embed(const Observation& obs) const {
-  // `obs` the parameter shadows `obs` the namespace — qualify via readys::.
+namespace {
+
+void require_ahat(const Observation& obs, const char* who) {
+  if (obs.ahat_csr.rows() != obs.features.rows()) {
+    throw std::invalid_argument(
+        std::string(who) + ": ahat_csr missing or sized for another window");
+  }
+}
+
+}  // namespace
+
+Var PolicyNet::embed(const tensor::SparseAdj& ahat, Var h) const {
   readys::obs::Span span("nn/gcn_embed", "train");
-  Var h{obs.features};
-  const Var ahat{obs.ahat};
   for (std::size_t l = 0; l < gcn_.size(); ++l) {
     h = gcn_[l]->forward(ahat, h);
     if (l + 1 < gcn_.size()) h = tensor::relu(h);
@@ -62,7 +71,8 @@ PolicyNet::Output PolicyNet::forward(const Observation& obs) const {
   if (obs.ready_tasks.empty()) {
     throw std::invalid_argument("PolicyNet::forward: no ready task");
   }
-  const Var h = embed(obs);
+  require_ahat(obs, "PolicyNet::forward");
+  const Var h = embed(obs.ahat_csr, Var{obs.features});
   const Var rstate =
       tensor::relu(res_proj_->forward(Var{obs.resource_state}));
 
@@ -117,16 +127,17 @@ std::vector<PolicyNet::Output> PolicyNet::forward_batched(
       throw std::invalid_argument(
           "PolicyNet::forward_batched: feature width mismatch");
     }
+    require_ahat(o, "PolicyNet::forward_batched");
     offsets[g + 1] = offsets[g] + o.features.rows();
     n_ready += o.ready_tasks.size();
   }
 
-  // Pack node features and resource rows; collect the adjacency blocks.
+  // Pack node features and resource rows, and the adjacencies into one
+  // block-diagonal CSR.
   tensor::Tensor feats(offsets.back(),
                        static_cast<std::size_t>(node_features_));
   tensor::Tensor res(n_envs, batch.front()->resource_state.cols());
-  auto blocks = std::make_shared<std::vector<tensor::Tensor>>();
-  blocks->reserve(n_envs);
+  tensor::SparseAdj ahat;
   for (std::size_t g = 0; g < n_envs; ++g) {
     const Observation& o = *batch[g];
     for (std::size_t r = 0; r < o.features.rows(); ++r) {
@@ -137,17 +148,10 @@ std::vector<PolicyNet::Output> PolicyNet::forward_batched(
     for (std::size_t c = 0; c < o.resource_state.cols(); ++c) {
       res.at(g, c) = o.resource_state.at(0, c);
     }
-    blocks->push_back(o.ahat);
+    ahat.append_block(o.ahat_csr);
   }
 
-  Var h{std::move(feats)};
-  {
-    readys::obs::Span embed_span("nn/gcn_embed", "train");
-    for (std::size_t l = 0; l < gcn_.size(); ++l) {
-      h = gcn_[l]->forward_packed(blocks, h);
-      if (l + 1 < gcn_.size()) h = tensor::relu(h);
-    }
-  }
+  Var h = embed(ahat, Var{std::move(feats)});
   const Var rstate = tensor::relu(res_proj_->forward(Var{std::move(res)}));
 
   // Critic over per-graph mean pools, one packed head projection.

@@ -67,8 +67,9 @@ class PolicyNet : public nn::Module {
       InferenceBackendKind kind) const;
 
  private:
-  /// GCN stack -> (|window| x hidden) node embeddings.
-  Var embed(const Observation& obs) const;
+  /// GCN stack over (N x node_features) rows `h` -> (N x hidden) node
+  /// embeddings.
+  Var embed(const tensor::SparseAdj& ahat, Var h) const;
 
   int node_features_;
   int resource_features_;

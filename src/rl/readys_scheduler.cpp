@@ -13,11 +13,6 @@ ReadysScheduler::ReadysScheduler(const PolicyNet& net, int window,
 
 void ReadysScheduler::reset(const sim::EngineView& engine) {
   encoder_.emplace(engine.graph(), engine.costs(), window_);
-  // The f32 backend reads Â through the CSR view only; skip the O(n^2)
-  // dense build. The f64 reference forward needs the dense matrix.
-  if (opts_.backend == InferenceBackendKind::kF32Simd) {
-    encoder_->set_sparse_ahat(true);
-  }
   // Rebuilt only when the net's weights actually changed since the last
   // episode (weight_version is bumped on optimizer step / deserialize),
   // so a kF32Simd snapshot tracks the live weights across

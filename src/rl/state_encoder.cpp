@@ -81,7 +81,6 @@ Observation StateEncoder::encode(const sim::EngineView& engine,
     }
   }
 
-  obs.ahat = nn::normalized_adjacency(n, obs.window.edges);
   nn::normalized_adjacency_csr(n, obs.window.edges, obs.ahat_csr);
 
   // Platform-agnostic resource summary (see DESIGN.md):
@@ -286,8 +285,6 @@ void IncrementalEncoder::rebuild_topology() {
   if (same_ahat) {
     ++ahat_reuses_;
   } else {
-    obs_.ahat = sparse_ahat_ ? tensor::Tensor()
-                             : nn::normalized_adjacency(n, obs_.window.edges);
     nn::normalized_adjacency_csr(n, obs_.window.edges, obs_.ahat_csr);
   }
   const std::size_t width = static_cast<std::size_t>(width_);

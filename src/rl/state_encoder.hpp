@@ -5,7 +5,6 @@
 
 #include "dag/features.hpp"
 #include "dag/window.hpp"
-#include "nn/gcn.hpp"
 #include "sim/engine.hpp"
 #include "sim/engine_view.hpp"
 #include "tensor/tensor.hpp"
@@ -18,13 +17,13 @@ namespace readys::rl {
 struct Observation {
   dag::Window window;
   tensor::Tensor features;  ///< |window| x node_feature_width
-  tensor::Tensor ahat;      ///< |window| x |window| renormalized adjacency
-  /// CSR view of `ahat` (same values bit for bit; see
-  /// nn::normalized_adjacency_csr). Both encoders fill it; the f32
-  /// inference backend reads Â only from here (O(nnz) per decision) and
-  /// rejects an observation without it, so a hand-assembled observation
-  /// must fill it too.
-  nn::SparseAdj ahat_csr;
+  /// |window| x |window| renormalized adjacency Â in CSR form (see
+  /// nn::normalized_adjacency_csr), its only storage: n + 2|edges|
+  /// nonzeros, O(nnz) per product. Both encoders fill it; PolicyNet and
+  /// every inference backend reject an observation whose CSR is missing
+  /// or sized for another window, so a hand-assembled observation must
+  /// fill it too.
+  tensor::SparseAdj ahat_csr;
   std::vector<std::size_t> ready_positions;  ///< rows that are ready tasks
   std::vector<dag::TaskId> ready_tasks;      ///< aligned with positions
   tensor::Tensor resource_state;             ///< 1 x resource_feature_width
@@ -137,18 +136,6 @@ class IncrementalEncoder {
   /// seed lists it is keyed on.
   const Observation& observation() const noexcept { return obs_; }
 
-  /// When on, observations carry Â only as the CSR view (ahat_csr) and
-  /// `ahat` is left an empty 0x0 tensor so a dense consumer fails loudly
-  /// instead of reading stale numbers. Skipping the O(n^2) dense build is
-  /// the point: the f32 inference backend never touches it.
-  /// ReadysScheduler enables this for backend=f32simd. Off by default —
-  /// the bit-identity contract with StateEncoder::encode needs the dense
-  /// matrix present.
-  void set_sparse_ahat(bool on) noexcept {
-    sparse_ahat_ = on;
-    valid_ = false;
-  }
-
   int window() const noexcept { return window_; }
   std::uint64_t window_rebuilds() const noexcept { return rebuilds_; }
   std::uint64_t window_reuses() const noexcept { return reuses_; }
@@ -171,7 +158,6 @@ class IncrementalEncoder {
   std::vector<dag::TaskId> seeds_scratch_;  ///< this encode's seeds
   std::vector<std::size_t> running_rows_;   ///< rows with running cols set
   bool valid_ = false;
-  bool sparse_ahat_ = false;  ///< see set_sparse_ahat
   int last_cur_gpu_ = -1;  ///< type feeding the base+6 column (-1 = stale)
 
   std::uint64_t rebuilds_ = 0;

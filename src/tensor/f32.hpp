@@ -48,8 +48,8 @@ void matmul_bias(const float* a, std::size_t m, std::size_t k,
                  float* c) noexcept;
 
 /// c (m x n) = A * x + bias for a CSR sparse A (m x m): row i's nonzeros
-/// are col/val[row_ptr[i] .. row_ptr[i+1]). Values arrive as double (the
-/// encoder-owned nn::SparseAdj stores f64) and are rounded to float once
+/// are col/val[row_ptr[i] .. row_ptr[i+1]). Values arrive as double
+/// (tensor::SparseAdj stores f64) and are rounded to float once
 /// per nonzero; with ascending columns per row this accumulates each
 /// output element in exactly the order matmul_bias would after skipping
 /// the zero entries of the dense matrix — same result, O(nnz * n) work.

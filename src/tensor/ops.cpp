@@ -119,6 +119,38 @@ Var matmul(const Var& a, const Var& b) {
   });
 }
 
+Var spmm(const SparseAdj& a, const Var& h) {
+  require(a.rows() == h.rows(), "spmm: row count mismatch");
+  const Tensor& hv = h.value();
+  const std::size_t cols = hv.cols();
+  Tensor out(a.rows(), cols);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double* orow = out.data() + i * cols;
+    for (std::size_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
+      const double aik = a.val[p];
+      const double* hrow = hv.data() + a.col[p] * cols;
+      for (std::size_t j = 0; j < cols; ++j) orow[j] += aik * hrow[j];
+    }
+  }
+  if (!grad_enabled()) return Var(std::move(out));
+  auto ph = h.node();
+  return Var::make_op(std::move(out), {h}, [ph, a](Node& self) {
+    if (!ph->requires_grad) return;
+    // dH = A^T * G: matmul's dB kernel over the stored nonzeros only.
+    Tensor& gh = ph->ensure_grad();
+    const Tensor& g = self.grad;
+    const std::size_t width = g.cols();
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const double* grow = g.data() + i * width;
+      for (std::size_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
+        const double aik = a.val[p];
+        double* ghrow = gh.data() + a.col[p] * width;
+        for (std::size_t j = 0; j < width; ++j) ghrow[j] += aik * grow[j];
+      }
+    }
+  });
+}
+
 Var add(const Var& a, const Var& b) {
   const Broadcast kind = broadcast_kind(a.value(), b.value(), "add");
   Tensor out = a.value();
@@ -575,62 +607,6 @@ void require_offsets(const std::vector<std::size_t>& offsets,
 }
 
 }  // namespace
-
-Var block_diag_matmul(
-    const std::shared_ptr<const std::vector<Tensor>>& blocks, const Var& h) {
-  require(blocks != nullptr && !blocks->empty(),
-          "block_diag_matmul: no blocks");
-  std::size_t n_total = 0;
-  for (const Tensor& b : *blocks) {
-    require(b.rows() == b.cols(), "block_diag_matmul: blocks must be square");
-    n_total += b.rows();
-  }
-  require(n_total == h.rows(), "block_diag_matmul: row count mismatch");
-  const Tensor& hv = h.value();
-  Tensor out(n_total, hv.cols());
-  std::size_t r0 = 0;
-  for (const Tensor& b : *blocks) {
-    // The i-k-j kernel of matmul_value, shifted into the block's rows, so
-    // each segment comes out bit-identical to matmul(block, h_segment).
-    const std::size_t n = b.rows();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = 0; k < n; ++k) {
-        const double aik = b.at(i, k);
-        if (aik == 0.0) continue;
-        const double* hrow = hv.data() + (r0 + k) * hv.cols();
-        double* orow = out.data() + (r0 + i) * out.cols();
-        for (std::size_t j = 0; j < hv.cols(); ++j) orow[j] += aik * hrow[j];
-      }
-    }
-    r0 += n;
-  }
-  if (!grad_enabled()) return Var(std::move(out));
-  auto ph = h.node();
-  return Var::make_op(std::move(out), {h}, [ph, blocks](Node& self) {
-    if (!ph->requires_grad) return;
-    // dH = block^T * G per segment — matmul's dB kernel with A = block,
-    // in the scattered form whose inner loop streams G's row into
-    // independent accumulators (vectorizes; ascending-i accumulation per
-    // element; adjacency zeros skip whole rows of work).
-    Tensor& gh = ph->ensure_grad();
-    const Tensor& g = self.grad;
-    const std::size_t cols = g.cols();
-    std::size_t r0 = 0;
-    for (const Tensor& b : *blocks) {
-      const std::size_t n = b.rows();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* grow = g.data() + (r0 + i) * cols;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double bik = b.at(i, k);
-          if (bik == 0.0) continue;
-          double* ghrow = gh.data() + (r0 + k) * cols;
-          for (std::size_t j = 0; j < cols; ++j) ghrow[j] += bik * grow[j];
-        }
-      }
-      r0 += n;
-    }
-  });
-}
 
 Var segment_mean_rows(const Var& a,
                       const std::vector<std::size_t>& offsets) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "tensor/autograd.hpp"
@@ -15,6 +14,14 @@ namespace readys::tensor {
 
 /// Matrix product: (R x K) * (K x C) -> (R x C).
 Var matmul(const Var& a, const Var& b);
+
+/// Constant sparse product: (N x N CSR) * (N x C) -> (N x C). Forward
+/// walks each row's nonzeros in ascending column order and backward
+/// accumulates dH[k] += a_ik * G[i] in ascending i — the zero-skipping
+/// loops of matmul, so the result and dH are bit-identical to
+/// matmul(Var{dense a}, h). `a` gets no gradient; while gradients are
+/// on the op keeps its own copy of `a` for backward.
+Var spmm(const SparseAdj& a, const Var& h);
 
 /// Elementwise sum. `b` may also be a 1 x C row (broadcast over rows of a)
 /// or a 1 x 1 scalar (broadcast over everything).
@@ -87,20 +94,13 @@ Var entropy_row(const Var& p, double eps = 1e-12);
 
 // --- segment ops (batched multi-graph forwards) -----------------------
 //
-// These three ops are what lets N small graphs run through the network
-// as one packed matrix: rows are grouped into consecutive segments
-// (graph g owns rows [offsets[g], offsets[g+1]); offsets has N+1 entries
-// starting at 0 and ending at the row count). Each op applies exactly
-// the same arithmetic, in the same order, as its per-graph equivalent
-// applied to the segment alone, so packed results are bit-identical to
-// the per-graph loop.
-
-/// Block-diagonal matrix product: rows [offsets[g], offsets[g+1]) of the
-/// result are blocks[g] * (the same rows of h). Each block must be
-/// square and their sizes must sum to h.rows(). The blocks are constants
-/// (no gradient); the gradient w.r.t. h is blocks[g]^T * G per segment.
-Var block_diag_matmul(const std::shared_ptr<const std::vector<Tensor>>& blocks,
-                      const Var& h);
+// These two ops, with spmm over a block-diagonal CSR, are what lets N
+// small graphs run through the network as one packed matrix: rows are
+// grouped into consecutive segments (graph g owns rows [offsets[g],
+// offsets[g+1]); offsets has N+1 entries starting at 0 and ending at the
+// row count). Each op applies exactly the same arithmetic, in the same
+// order, as its per-graph equivalent applied to the segment alone, so
+// packed results are bit-identical to the per-graph loop.
 
 /// Per-segment mean_rows: (R x C) -> (N x C), row g = mean over the rows
 /// of segment g. Segments must be non-empty.

@@ -127,4 +127,15 @@ Tensor matmul_value(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+void SparseAdj::append_block(const SparseAdj& block) {
+  const std::size_t shift = rows();
+  const std::size_t nnz = col.size();
+  if (row_ptr.empty()) row_ptr.push_back(0);
+  for (std::size_t i = 1; i < block.row_ptr.size(); ++i) {
+    row_ptr.push_back(nnz + block.row_ptr[i]);
+  }
+  for (const std::size_t c : block.col) col.push_back(shift + c);
+  val.insert(val.end(), block.val.begin(), block.val.end());
+}
+
 }  // namespace readys::tensor

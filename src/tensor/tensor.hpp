@@ -98,4 +98,24 @@ class Tensor {
 /// code and by tests.
 Tensor matmul_value(const Tensor& a, const Tensor& b);
 
+/// Square sparse matrix in compressed-sparse-row form: row i's nonzero
+/// columns are col[row_ptr[i] .. row_ptr[i+1]), ascending, with matching
+/// values in val. The only storage of a GCN's normalized adjacency Â
+/// (see nn::normalized_adjacency_csr), read by the f64 autograd product
+/// (spmm in ops.hpp) and the f32 inference kernel (f32::spmm_bias).
+struct SparseAdj {
+  std::vector<std::size_t> row_ptr;  ///< n + 1 entries
+  std::vector<std::size_t> col;      ///< nnz column indices
+  std::vector<double> val;           ///< nnz values, aligned with col
+
+  std::size_t rows() const noexcept {
+    return row_ptr.empty() ? 0 : row_ptr.size() - 1;
+  }
+
+  /// Stacks `block` block-diagonally after the current rows: its rows
+  /// append and its columns shift by the current row count, so several
+  /// graphs' adjacencies pack into one matrix.
+  void append_block(const SparseAdj& block);
+};
+
 }  // namespace readys::tensor

@@ -72,6 +72,11 @@ int env_int(const char* name, int fallback) {
   return v ? parse_int(name, v) : fallback;
 }
 
+std::uint64_t env_uint64(const char* name, std::uint64_t fallback) {
+  const char* v = raw(name);
+  return v ? parse_uint64(name, v) : fallback;
+}
+
 double env_double(const char* name, double fallback) {
   const char* v = raw(name);
   return v ? parse_double(name, v) : fallback;

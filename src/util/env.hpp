@@ -23,6 +23,7 @@ double parse_double(const char* name, const std::string& text);
 /// reproductions can be scaled from smoke-test to paper-level budgets
 /// without recompiling, and by RunConfig::from_env.
 int env_int(const char* name, int fallback);
+std::uint64_t env_uint64(const char* name, std::uint64_t fallback);
 double env_double(const char* name, double fallback);
 std::string env_string(const char* name, const std::string& fallback);
 

@@ -96,6 +96,20 @@ TEST(GradCheck, Matmul) {
       {leaf(3, 4, rng), leaf(4, 2, rng)});
 }
 
+TEST(GradCheck, Spmm) {
+  // A non-symmetric CSR, so a backward that forgot the transpose fails.
+  rt::SparseAdj a;
+  a.row_ptr = {0, 2, 3, 6};
+  a.col = {0, 2, 1, 0, 1, 2};
+  a.val = {0.5, -1.2, 2.0, 0.3, 0.7, -0.4};
+  Rng rng(13);
+  grad_check(
+      [&a](std::vector<rt::Var>& v) {
+        return rt::sum_all(rt::square(rt::spmm(a, v[0])));
+      },
+      {leaf(3, 2, rng)});
+}
+
 TEST(GradCheck, AddSameShapeAndBroadcasts) {
   Rng rng(2);
   grad_check(

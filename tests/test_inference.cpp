@@ -129,7 +129,7 @@ TEST(F32Kernels, SpmmMatchesDenseMatmulBitForBit) {
   std::vector<std::pair<std::size_t, std::size_t>> edges;
   for (std::size_t i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
   const rt::Tensor dense = rn::normalized_adjacency(n, edges);
-  rn::SparseAdj csr;
+  rt::SparseAdj csr;
   rn::normalized_adjacency_csr(n, edges, csr);
 
   std::vector<float> dense_f(n * n);
@@ -215,6 +215,7 @@ TEST(SparseAdj, CsrMatchesDenseBitForBitWithAscendingColumns) {
   ASSERT_FALSE(obs_list.empty());
   for (const rr::Observation& obs : obs_list) {
     const std::size_t n = obs.window.size();
+    const rt::Tensor dense = rn::normalized_adjacency(n, obs.window.edges);
     ASSERT_EQ(obs.ahat_csr.rows(), n);
     std::size_t nnz = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -227,15 +228,15 @@ TEST(SparseAdj, CsrMatchesDenseBitForBitWithAscendingColumns) {
         first = false;
         prev_col = j;
         // Stored value is the dense entry, bit for bit.
-        EXPECT_EQ(obs.ahat_csr.val[p], obs.ahat.at(i, j));
-        EXPECT_NE(obs.ahat.at(i, j), 0.0);
+        EXPECT_EQ(obs.ahat_csr.val[p], dense.at(i, j));
+        EXPECT_NE(dense.at(i, j), 0.0);
         ++nnz;
       }
     }
     // Every dense nonzero is present: counts must match.
     std::size_t dense_nnz = 0;
     for (std::size_t i = 0; i < n * n; ++i) {
-      if (obs.ahat[i] != 0.0) ++dense_nnz;
+      if (dense[i] != 0.0) ++dense_nnz;
     }
     EXPECT_EQ(nnz, dense_nnz);
   }
@@ -406,11 +407,25 @@ TEST(InferenceBackend, RejectsDegenerateObservations) {
   bad.features = rt::Tensor(bad.window.size(), 3);
   const auto f32b = net.make_inference(rr::InferenceBackendKind::kF32Simd);
   EXPECT_THROW(f32b->forward(bad, out), std::invalid_argument);
-  // The f32 backend reads Â only through its CSR view: an observation
-  // without one is rejected, not silently run on the dense matrix.
+  // Â is stored only as CSR: every backend rejects an observation
+  // without one, or with one sized for another window.
   rr::Observation no_csr = obs_list.front();
-  no_csr.ahat_csr.clear();
-  EXPECT_THROW(f32b->forward(no_csr, out), std::invalid_argument);
+  no_csr.ahat_csr = {};
+  rr::Observation wrong_csr = obs_list.front();
+  rn::normalized_adjacency_csr(wrong_csr.window.size() + 1, {},
+                               wrong_csr.ahat_csr);
+  for (const auto kind : {rr::InferenceBackendKind::kF64Ref,
+                          rr::InferenceBackendKind::kF32Simd}) {
+    const auto backend = net.make_inference(kind);
+    EXPECT_THROW(backend->forward(no_csr, out), std::invalid_argument)
+        << backend->name();
+    EXPECT_THROW(backend->forward(wrong_csr, out), std::invalid_argument)
+        << backend->name();
+    std::vector<rr::InferenceOutput> outs;
+    EXPECT_THROW(backend->forward_batched({&obs_list.front(), &no_csr}, outs),
+                 std::invalid_argument)
+        << backend->name();
+  }
 }
 
 // --- arena ----------------------------------------------------------------

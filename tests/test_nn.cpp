@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "nn/gcn.hpp"
 #include "nn/linear.hpp"
@@ -10,6 +12,36 @@
 namespace rn = readys::nn;
 namespace rt = readys::tensor;
 using readys::util::Rng;
+
+namespace {
+
+using Edges = std::vector<std::pair<std::size_t, std::size_t>>;
+
+rt::SparseAdj csr_adjacency(std::size_t n, const Edges& edges) {
+  rt::SparseAdj a;
+  rn::normalized_adjacency_csr(n, edges, a);
+  return a;
+}
+
+/// GCNLayer::forward recomputed as a dense product with the reference
+/// builder's Â.
+rt::Var dense_reference_forward(const rn::GCNLayer& layer, std::size_t n,
+                                const Edges& edges, const rt::Var& h) {
+  const auto params = layer.named_parameters();
+  EXPECT_EQ(params[0].first, "weight");
+  EXPECT_EQ(params[1].first, "bias");
+  return rt::add(rt::matmul(rt::Var(rn::normalized_adjacency(n, edges)),
+                            rt::matmul(h, params[0].second)),
+                 params[1].second);
+}
+
+void expect_bit_identical(const rt::Tensor& a, const rt::Tensor& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << i;
+}
+
+}  // namespace
 
 TEST(Linear, ShapesAndBias) {
   Rng rng(1);
@@ -114,27 +146,98 @@ TEST(GcnLayer, PropagatesNeighborInformation) {
   // changes iff they are connected.
   rt::Tensor feats = rt::Tensor::from_rows({{1.0, 0.0}, {0.0, 1.0}});
   rt::Tensor feats2 = rt::Tensor::from_rows({{1.0, 0.0}, {5.0, -3.0}});
-  auto connected = rn::normalized_adjacency(2, {{0, 1}});
-  auto isolated = rn::normalized_adjacency(2, {});
+  const Edges connected = {{0, 1}};
+  const Edges isolated;
 
-  auto out_conn_1 = layer.forward(rt::Var(connected), rt::Var(feats)).value();
-  auto out_conn_2 = layer.forward(rt::Var(connected), rt::Var(feats2)).value();
-  EXPECT_GT(std::abs(out_conn_1.at(0, 0) - out_conn_2.at(0, 0)), 1e-9);
-
-  auto out_iso_1 = layer.forward(rt::Var(isolated), rt::Var(feats)).value();
-  auto out_iso_2 = layer.forward(rt::Var(isolated), rt::Var(feats2)).value();
-  EXPECT_NEAR(out_iso_1.at(0, 0), out_iso_2.at(0, 0), 1e-12);
+  const auto run = [&](const Edges& edges, const rt::Tensor& f) {
+    const rt::Tensor out =
+        layer.forward(csr_adjacency(2, edges), rt::Var(f)).value();
+    expect_bit_identical(
+        out, dense_reference_forward(layer, 2, edges, rt::Var(f)).value());
+    return out;
+  };
+  EXPECT_GT(std::abs(run(connected, feats).at(0, 0) -
+                     run(connected, feats2).at(0, 0)),
+            1e-9);
+  EXPECT_NEAR(run(isolated, feats).at(0, 0), run(isolated, feats2).at(0, 0),
+              1e-12);
 }
 
 TEST(GcnLayer, GradientsFlowToWeights) {
   Rng rng(11);
   rn::GCNLayer layer(3, 4, rng);
   rt::Var h(rt::Tensor::randn(5, 3, rng));
-  auto ahat = rn::normalized_adjacency(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  rt::sum_all(rt::square(layer.forward(rt::Var(ahat), h))).backward();
+  const Edges edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4}};
+  rt::sum_all(rt::square(layer.forward(csr_adjacency(5, edges), h)))
+      .backward();
+  std::vector<rt::Tensor> grads;
   for (auto& p : layer.parameters()) {
     EXPECT_GT(p.grad().abs_max(), 0.0);
+    grads.push_back(p.grad());
+    p.zero_grad();
   }
+  // The dense reference product yields the same gradients bit for bit.
+  rt::sum_all(rt::square(dense_reference_forward(layer, 5, edges, h)))
+      .backward();
+  const auto params = layer.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    expect_bit_identical(params[i].grad(), grads[i]);
+  }
+}
+
+// --- spmm -----------------------------------------------------------------
+
+TEST(Spmm, MatchesDenseMatmulBitForBit) {
+  // Node 5 is isolated: its row and column hold only the self loop.
+  const std::size_t n = 6;
+  const Edges edges = {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}};
+  Rng rng(13);
+  const rt::Tensor h0 = rt::Tensor::randn(n, 4, rng);
+  const rt::Var g(rt::Tensor::randn(n, 4, rng));
+  rt::Var h_sparse(h0, true);
+  rt::Var h_dense(h0, true);
+  const rt::Var y_sparse = rt::spmm(csr_adjacency(n, edges), h_sparse);
+  const rt::Var y_dense =
+      rt::matmul(rt::Var(rn::normalized_adjacency(n, edges)), h_dense);
+  expect_bit_identical(y_sparse.value(), y_dense.value());
+  rt::sum_all(rt::mul(y_sparse, g)).backward();
+  rt::sum_all(rt::mul(y_dense, g)).backward();
+  expect_bit_identical(h_sparse.grad(), h_dense.grad());
+}
+
+TEST(Spmm, BlockDiagonalPackMatchesBlocksOneAtATime) {
+  // A path, a lone node, and a star with an isolated node.
+  const std::vector<std::pair<std::size_t, Edges>> graphs = {
+      {3, {{0, 1}, {1, 2}}}, {1, {}}, {4, {{0, 3}, {1, 3}}}};
+  rt::SparseAdj packed;
+  std::size_t total = 0;
+  for (const auto& [n, edges] : graphs) {
+    packed.append_block(csr_adjacency(n, edges));
+    total += n;
+  }
+  ASSERT_EQ(packed.rows(), total);
+  Rng rng(14);
+  const rt::Var h0(rt::Tensor::randn(total, 3, rng));
+  const rt::Var g(rt::Tensor::randn(total, 3, rng));
+  rt::Var h(h0.value(), true);
+  const rt::Var y = rt::spmm(packed, h);
+  rt::sum_all(rt::mul(y, g)).backward();
+
+  std::size_t r0 = 0;
+  for (const auto& [n, edges] : graphs) {
+    rt::Var hb(rt::slice_rows(h0, r0, n).value(), true);
+    const rt::Var yb = rt::spmm(csr_adjacency(n, edges), hb);
+    rt::sum_all(rt::mul(yb, rt::slice_rows(g, r0, n))).backward();
+    expect_bit_identical(rt::slice_rows(y, r0, n).value(), yb.value());
+    expect_bit_identical(
+        rt::slice_rows(rt::Var(h.grad()), r0, n).value(), hb.grad());
+    r0 += n;
+  }
+}
+
+TEST(Spmm, RejectsRowCountMismatch) {
+  EXPECT_THROW(rt::spmm(csr_adjacency(3, {}), rt::Var(rt::Tensor(4, 2))),
+               std::invalid_argument);
 }
 
 TEST(Glorot, BoundsRespected) {

@@ -18,7 +18,8 @@ namespace ru = readys::util;
 namespace {
 
 /// Applies permutation p to a graph's node order (edges relabeled).
-std::pair<rt::Tensor, rt::Tensor> permuted_gcn_inputs(
+std::pair<rt::Tensor, std::vector<std::pair<std::size_t, std::size_t>>>
+permuted_gcn_inputs(
     const rt::Tensor& features,
     const std::vector<std::pair<std::size_t, std::size_t>>& edges,
     const std::vector<std::size_t>& p) {
@@ -32,7 +33,26 @@ std::pair<rt::Tensor, rt::Tensor> permuted_gcn_inputs(
   std::vector<std::pair<std::size_t, std::size_t>> pe;
   pe.reserve(edges.size());
   for (auto [u, v] : edges) pe.emplace_back(p[u], p[v]);
-  return {pf, rn::normalized_adjacency(n, pe)};
+  return {pf, pe};
+}
+
+/// One GCN layer over the CSR Â of (n, edges), checked bit for bit
+/// against the same layer run on the dense reference Â.
+rt::Tensor gcn_forward(
+    const rn::GCNLayer& layer, const rt::Tensor& features,
+    const std::vector<std::pair<std::size_t, std::size_t>>& edges) {
+  const std::size_t n = features.rows();
+  rt::SparseAdj csr;
+  rn::normalized_adjacency_csr(n, edges, csr);
+  const rt::Tensor out = layer.forward(csr, rt::Var(features)).value();
+  const auto params = layer.named_parameters();
+  const rt::Tensor dense =
+      rt::add(rt::matmul(rt::Var(rn::normalized_adjacency(n, edges)),
+                         rt::matmul(rt::Var(features), params[0].second)),
+              params[1].second)
+          .value();
+  EXPECT_TRUE(out == dense) << "CSR and dense Â products differ";
+  return out;
 }
 
 }  // namespace
@@ -46,16 +66,13 @@ TEST(GcnProperty, PermutationEquivariance) {
   rt::Tensor features = rt::Tensor::randn(n, 5, rng);
   std::vector<std::pair<std::size_t, std::size_t>> edges = {
       {0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {4, 6}};
-  const rt::Tensor ahat = rn::normalized_adjacency(n, edges);
-  const rt::Tensor out =
-      layer.forward(rt::Var(ahat), rt::Var(features)).value();
+  const rt::Tensor out = gcn_forward(layer, features, edges);
 
   std::vector<std::size_t> p(n);
   std::iota(p.begin(), p.end(), 0u);
   rng.shuffle(p);
-  const auto [pf, pahat] = permuted_gcn_inputs(features, edges, p);
-  const rt::Tensor pout =
-      layer.forward(rt::Var(pahat), rt::Var(pf)).value();
+  const auto [pf, pe] = permuted_gcn_inputs(features, edges, p);
+  const rt::Tensor pout = gcn_forward(layer, pf, pe);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t c = 0; c < out.cols(); ++c) {
       EXPECT_NEAR(pout.at(p[i], c), out.at(i, c), 1e-9);

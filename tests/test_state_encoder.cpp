@@ -33,8 +33,7 @@ TEST(StateEncoder, InitialObservationHasSourceReady) {
   EXPECT_EQ(obs.num_actions(), 1u);
   EXPECT_EQ(obs.features.rows(), obs.window.size());
   EXPECT_EQ(obs.features.cols(), 17u);
-  EXPECT_EQ(obs.ahat.rows(), obs.window.size());
-  EXPECT_EQ(obs.ahat.cols(), obs.window.size());
+  EXPECT_EQ(obs.ahat_csr.rows(), obs.window.size());
 }
 
 TEST(StateEncoder, WindowGrowsWithW) {
@@ -153,10 +152,6 @@ void expect_observations_equal(const rr::Observation& a,
   ASSERT_EQ(a.features.cols(), b.features.cols());
   for (std::size_t i = 0; i < a.features.size(); ++i) {
     ASSERT_EQ(a.features[i], b.features[i]) << "feature " << i;
-  }
-  ASSERT_EQ(a.ahat.rows(), b.ahat.rows());
-  for (std::size_t i = 0; i < a.ahat.size(); ++i) {
-    ASSERT_EQ(a.ahat[i], b.ahat[i]) << "ahat " << i;
   }
   ASSERT_EQ(a.ahat_csr.row_ptr, b.ahat_csr.row_ptr);
   ASSERT_EQ(a.ahat_csr.col, b.ahat_csr.col);
@@ -289,23 +284,6 @@ TEST(IncrementalEncoder, ReusesTopologyAcrossIdleDeclines) {
   (void)inc.encode(engine, 3);
   EXPECT_EQ(inc.window_rebuilds(), rebuilds);
   EXPECT_EQ(inc.window_reuses(), 2u);
-}
-
-TEST(IncrementalEncoder, SparseAhatModeSkipsDenseAndKeepsCsr) {
-  Fixture f;
-  rs::SimEngine engine(f.graph, f.platform, f.costs, 0.0, 1);
-  rr::StateEncoder full(f.graph, f.costs, 2);
-  rr::IncrementalEncoder inc(f.graph, f.costs, 2);
-  inc.set_sparse_ahat(true);
-  const auto a = full.encode(engine, 0);
-  const auto& b = inc.encode(engine, 0);
-  EXPECT_EQ(b.ahat.size(), 0u) << "dense Â must stay empty in sparse mode";
-  ASSERT_EQ(a.ahat_csr.row_ptr, b.ahat_csr.row_ptr);
-  ASSERT_EQ(a.ahat_csr.col, b.ahat_csr.col);
-  ASSERT_EQ(a.ahat_csr.val, b.ahat_csr.val);
-  for (std::size_t i = 0; i < a.features.size(); ++i) {
-    ASSERT_EQ(a.features[i], b.features[i]);
-  }
 }
 
 // --- SchedulingEnv differential -------------------------------------------

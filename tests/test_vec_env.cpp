@@ -458,11 +458,11 @@ std::uint64_t training_hash(const rr::TrainReport& report,
 
 enum class PinTrainer { kA2c, kPpo };
 
-std::uint64_t pinned_run(PinTrainer which, bool async) {
+std::uint64_t pinned_run(PinTrainer which, bool async, int width = 4,
+                         const rr::AgentConfig& cfg = tiny_config()) {
   const auto graph = rd::cholesky_graph(3);
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
-  const auto cfg = tiny_config();
   const rr::SchedulingEnv::Config env_cfg{0.1, cfg.window, 9};
   rr::TrainOptions opts;
   opts.episodes = 12;
@@ -473,7 +473,7 @@ std::uint64_t pinned_run(PinTrainer which, bool async) {
   opts.async_batch = 1;
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
                     rr::StateEncoder::kResourceFeatureWidth, cfg);
-  rr::VecEnv envs(graph, platform, costs, env_cfg, 4);
+  rr::VecEnv envs(graph, platform, costs, env_cfg, width);
   rr::TrainReport report;
   if (which == PinTrainer::kA2c) {
     rr::A2CTrainer trainer(net, cfg);
@@ -509,6 +509,19 @@ TEST(TrainingPin, A2cAsync4MatchesRecordedFingerprint) {
 TEST(TrainingPin, PpoAsync4MatchesRecordedFingerprint) {
   EXPECT_EQ(pinned_run(PinTrainer::kPpo, /*async=*/true),
             6757788872011778008ULL);
+}
+
+// Width 1 with one-decision unrolls: every loss term runs through the
+// single-observation PolicyNet::forward with gradients on, over a
+// two-layer trunk and a window deep enough to give Â off-diagonal
+// entries — the path the width-4 pins never take.
+TEST(TrainingPin, A2cWidth1Unroll1MatchesRecordedFingerprint) {
+  rr::AgentConfig cfg = tiny_config();
+  cfg.gcn_layers = 2;
+  cfg.window = 2;
+  cfg.unroll = 1;
+  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/false, /*width=*/1, cfg),
+            5996024769877668440ULL);
 }
 
 // ---------------------------------------------------------------------
@@ -651,6 +664,12 @@ TEST(RunConfig, StrictParsingRejectsMalformedDocuments) {
   // Plain malformed JSON.
   EXPECT_THROW(rc::RunConfig::from_json("{\"tiles\": }"),
                std::invalid_argument);
+  // Numbers outside the JSON grammar, or not finite.
+  for (const char* doc :
+       {"{\"agent\":{\"lr\":nan}}", "{\"agent\":{\"gamma\":inf}}",
+        "{\"sigma\":1e999}", "{\"sigma\":0x10}", "{\"tiles\":+4}"}) {
+    EXPECT_THROW(rc::RunConfig::from_json(doc), std::invalid_argument) << doc;
+  }
 
   // validate() names bad cross-field values even when the JSON is fine.
   rc::RunConfig bad;
@@ -697,4 +716,14 @@ TEST(RunConfig, EnvOverlayHonorsLegacyVariables) {
   // Derived builders pull from the overlaid values.
   EXPECT_EQ(cfg.env_config().sigma, 0.4);
   EXPECT_EQ(cfg.train_options().episodes, cfg.episodes);
+
+  // Seeds are unsigned 64-bit: a negative one must not wrap, and one past
+  // the int range must not be rejected.
+  ::setenv("READYS_SEED", "-1", 1);
+  EXPECT_THROW(rc::RunConfig::from_env(), std::invalid_argument);
+  ::setenv("READYS_SEED", "4294967296", 1);
+  const rc::RunConfig wide = rc::RunConfig::from_env();
+  ::unsetenv("READYS_SEED");
+  EXPECT_EQ(wide.seed, 4294967296ULL);
+  EXPECT_EQ(rc::RunConfig::from_json(wide.to_json()).seed, 4294967296ULL);
 }
