@@ -65,17 +65,10 @@ std::exception_ptr EpisodeQueue::error() const {
   return error_;
 }
 
-namespace {
-
-/// Decorrelates the per-episode action stream from the base seed: the
-/// 64-bit golden-ratio increment (splitmix64's gamma) keeps adjacent
-/// episode indices far apart in seed space.
 std::uint64_t episode_seed(std::uint64_t base, int index) {
   return base ^ (0x9E3779B97F4A7C15ULL *
                  (static_cast<std::uint64_t>(index) + 1));
 }
-
-}  // namespace
 
 ActorPool::ActorPool(VecEnv& envs, EpisodeQueue& queue, Policy policy,
                      const Options& opts)

@@ -43,6 +43,11 @@ struct EpisodeRollout {
 /// stream.
 std::size_t sample_categorical(const tensor::Tensor& probs, util::Rng& rng);
 
+/// Seed of episode `index`'s action stream under base `base`: the 64-bit
+/// golden-ratio increment (splitmix64's gamma) keeps adjacent episode
+/// indices far apart in seed space.
+std::uint64_t episode_seed(std::uint64_t base, int index);
+
 /// Bounded multi-producer single-consumer queue of finished episodes.
 ///
 /// push() blocks while the queue is full (backpressure keeps actors at

@@ -233,6 +233,7 @@ std::string serialize_checkpoint(const nn::Module& module,
      << "divergent_streak " << data.progress.divergent_streak << '\n'
      << "env_seed " << data.env_seed << '\n'
      << "num_envs " << data.num_envs << '\n';
+  if (data.stream_seed) os << "stream_seed " << *data.stream_seed << '\n';
   os << "rngs " << data.rngs.size() << '\n';
   for (const auto& [name, st] : data.rngs) {
     os << "rng " << name;
@@ -308,6 +309,14 @@ void deserialize_checkpoint(nn::Module& module, CheckpointData& data,
       static_cast<int>(parse_u64_field(cur, "divergent_streak"));
   parsed.env_seed = parse_u64_field(cur, "env_seed");
   parsed.num_envs = static_cast<std::size_t>(parse_u64_field(cur, "num_envs"));
+  {
+    // Optional: files written before the action-stream base was recorded
+    // go straight on to the rngs section.
+    const std::size_t mark = cur.pos;
+    const bool present = cur.next(line) && line.rfind("stream_seed ", 0) == 0;
+    cur.pos = mark;
+    if (present) parsed.stream_seed = parse_u64_field(cur, "stream_seed");
+  }
 
   const std::uint64_t num_rngs = parse_u64_field(cur, "rngs");
   for (std::uint64_t i = 0; i < num_rngs; ++i) {
@@ -465,7 +474,8 @@ void apply_checkpoint_to_trainer(const CheckpointData& data,
                                  const std::string& trainer,
                                  std::uint64_t env_seed, std::size_t num_envs,
                                  nn::Optimizer& optimizer,
-                                 util::Rng& sample_rng) {
+                                 util::Rng& sample_rng,
+                                 std::uint64_t& stream_seed) {
   if (data.trainer != trainer) {
     throw std::runtime_error(
         "apply_checkpoint_to_trainer: checkpoint was written by '" +
@@ -493,6 +503,13 @@ void apply_checkpoint_to_trainer(const CheckpointData& data,
   if (!found_sample) {
     util::log_warn() << "resume: checkpoint carries no 'sample' RNG stream; "
                         "action sampling restarts from the seed";
+  }
+  if (data.stream_seed) {
+    stream_seed = *data.stream_seed;
+  } else {
+    util::log_warn() << "resume: checkpoint carries no action-stream base; "
+                        "episode action streams derive from this run's "
+                        "agent seed";
   }
   if (data.optimizer.empty()) {
     util::log_warn() << "resume: checkpoint carries no optimizer state; "

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,16 +28,20 @@ struct CheckpointState {
 
 /// Everything a `readys-ckpt/2` file carries besides the weights. With
 /// all of it restored — Adam moments + step count, every trainer RNG
-/// stream, and the reseed identity of the environment(s) — a resumed
-/// run is bit-identical to the uninterrupted one (the env streams
-/// themselves are fully reseeded from (env_seed, episode index) at each
-/// episode start, so env_seed + num_envs IS the env/VecEnv state at an
-/// episode boundary).
+/// stream, and the reseed identity of the environments and of the
+/// action streams — a resumed run is bit-identical to the uninterrupted
+/// one (the env and action streams are fully reseeded from (env_seed,
+/// episode index) and (stream_seed, episode index) at each episode
+/// start, so those two bases ARE their state at an episode boundary).
 struct CheckpointData {
   CheckpointState progress;
   std::string trainer;         ///< "a2c" | "ppo" (resume cross-checks it)
   std::uint64_t env_seed = 0;  ///< TrainOptions::seed driving env reseeds
   std::size_t num_envs = 1;    ///< VecEnv width
+  /// Base of the per-episode action streams. Absent in files written
+  /// before it was recorded; such a file still loads (weights, progress,
+  /// streams), and a resume from it warns.
+  std::optional<std::uint64_t> stream_seed;
   /// Named trainer RNG streams (e.g. {"sample", ...}), via Rng::state().
   std::vector<std::pair<std::string, util::Rng::State>> rngs;
   /// Opaque optimizer section from nn::Optimizer::state_rows().
@@ -96,7 +101,9 @@ bool load_checkpoint(const std::string& dir, nn::Module& module,
                      CheckpointData& data);
 
 /// Applies the non-weight parts of a loaded checkpoint to a trainer:
-/// restores the optimizer moments and the "sample" RNG stream. Throws
+/// restores the optimizer moments, the "sample" RNG stream and the
+/// action-stream base (`stream_seed` keeps its value, with a warning,
+/// when the file carries none). Throws
 /// std::runtime_error when the checkpoint was written by a different
 /// trainer (resuming a2c from a ppo file silently trains garbage); logs
 /// a warning — and continues with fresh state — when the seed or env
@@ -105,7 +112,8 @@ void apply_checkpoint_to_trainer(const CheckpointData& data,
                                  const std::string& trainer,
                                  std::uint64_t env_seed, std::size_t num_envs,
                                  nn::Optimizer& optimizer,
-                                 util::Rng& sample_rng);
+                                 util::Rng& sample_rng,
+                                 std::uint64_t& stream_seed);
 
 namespace testing_hooks {
 

@@ -54,13 +54,19 @@ class RolloutSource {
 };
 
 /// Lockstep waves over the VecEnv: one batched no-grad forward per wave
-/// step, actions drawn from the shared stream in ascending env order,
-/// envs dropping out as their episodes finish.
+/// step, envs dropping out as their episodes finish. Episode i draws its
+/// actions from its own stream, seeded episode_seed(stream_seed, i), so
+/// a trajectory depends on the episode index and the weights it acts
+/// under, never on the width or on the episodes stepped beside it.
 class LockstepSource final : public RolloutSource {
  public:
-  LockstepSource(VecEnv& envs, PolicyNet& net, util::Rng& rng,
-                 std::uint64_t env_seed)
-      : envs_(&envs), net_(&net), rng_(&rng), env_seed_(env_seed) {}
+  LockstepSource(VecEnv& envs, PolicyNet& net, std::uint64_t env_seed,
+                 std::uint64_t stream_seed)
+      : envs_(&envs),
+        net_(&net),
+        env_seed_(env_seed),
+        stream_seed_(stream_seed),
+        rngs_(envs.size()) {}
 
   void collect(int first, int count,
                std::vector<EpisodeRollout>& eps) override {
@@ -73,6 +79,7 @@ class LockstepSource final : public RolloutSource {
       for (std::size_t e = 0; e < wave; ++e) {
         const int index = first + static_cast<int>(base + e);
         envs_->reset_one(e, env_seed_ + static_cast<std::uint64_t>(index));
+        rngs_[e] = util::Rng(episode_seed(stream_seed_, index));
         // Freeing the slot's previous episode right as its env resets
         // keeps the heap pattern of a plain per-round loop; releasing the
         // whole round at once measurably slowed the updates that follow.
@@ -87,7 +94,7 @@ class LockstepSource final : public RolloutSource {
         std::vector<std::size_t> acts(active.size());
         for (std::size_t k = 0; k < active.size(); ++k) {
           const std::size_t a =
-              sample_categorical(outs[k].probs.value(), *rng_);
+              sample_categorical(outs[k].probs.value(), rngs_[active[k]]);
           acts[k] = a;
           EpisodeRollout& rec = eps[base + active[k]];
           rec.observations.push_back(*obs[k]);
@@ -116,8 +123,9 @@ class LockstepSource final : public RolloutSource {
  private:
   VecEnv* envs_;
   PolicyNet* net_;
-  util::Rng* rng_;
   std::uint64_t env_seed_;
+  std::uint64_t stream_seed_;
+  std::vector<util::Rng> rngs_;  ///< one action stream per env slot
 };
 
 /// The async actor–learner source. collect() releases exactly the
@@ -297,7 +305,7 @@ TrainReport Learner::train(VecEnv& envs, const TrainOptions& opts) {
     CheckpointData ck;
     if (load_checkpoint(opts.checkpoint_dir, *net_, ck)) {
       apply_checkpoint_to_trainer(ck, name_, opts.seed, width, optimizer_,
-                                  rng_);
+                                  rng_, stream_seed_);
       start = std::min(ck.progress.episode, opts.episodes);
       report.updates = ck.progress.updates;
       report.skipped_updates = ck.progress.skipped_updates;
@@ -323,6 +331,7 @@ TrainReport Learner::train(VecEnv& envs, const TrainOptions& opts) {
     d.trainer = name_;
     d.env_seed = opts.seed;
     d.num_envs = width;
+    d.stream_seed = stream_seed_;
     d.rngs = {{"sample", rng_.state()}};
     d.optimizer = optimizer_.state_rows();
     save_checkpoint(opts.checkpoint_dir, *net_, d, ck_opts);
@@ -335,7 +344,8 @@ TrainReport Learner::train(VecEnv& envs, const TrainOptions& opts) {
                                            opts, stream_seed_, start,
                                            per_learn);
   } else {
-    source = std::make_unique<LockstepSource>(envs, *net_, rng_, opts.seed);
+    source = std::make_unique<LockstepSource>(envs, *net_, opts.seed,
+                                              stream_seed_);
   }
 
   using obs_clock = std::chrono::steady_clock;

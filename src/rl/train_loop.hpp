@@ -126,8 +126,9 @@ class Learner {
   AgentConfig cfg_;
   nn::Adam optimizer_;
   std::uint64_t stream_seed_;
-  /// The shared stream: lockstep action sampling (and PPO's minibatch
-  /// shuffles). Checkpointed as "sample".
+  /// The shared stream: PPO's minibatch shuffles. Checkpointed as
+  /// "sample". Actions come from per-episode streams seeded
+  /// episode_seed(stream_seed_, index).
   util::Rng rng_;
   double last_loss_ = std::numeric_limits<double>::quiet_NaN();
   double last_grad_norm_ = std::numeric_limits<double>::quiet_NaN();

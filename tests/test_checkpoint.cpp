@@ -63,6 +63,7 @@ rl::CheckpointData sample_data() {
   d.trainer = "a2c";
   d.env_seed = 99;
   d.num_envs = 4;
+  d.stream_seed = 0xFEEDFACECAFEBEEFULL;
   Rng r(123);
   r.normal();  // populate the Box-Muller cache so it round-trips too
   d.rngs = {{"sample", r.state()}};
@@ -79,6 +80,7 @@ void expect_data_eq(const rl::CheckpointData& a, const rl::CheckpointData& b) {
   EXPECT_EQ(a.trainer, b.trainer);
   EXPECT_EQ(a.env_seed, b.env_seed);
   EXPECT_EQ(a.num_envs, b.num_envs);
+  EXPECT_EQ(a.stream_seed, b.stream_seed);
   EXPECT_EQ(a.rngs, b.rngs);
   EXPECT_EQ(a.optimizer, b.optimizer);
 }
@@ -347,9 +349,44 @@ TEST(Checkpoint, TrainerMismatchRefusesToResume) {
   rn::Mlp m({2, 2}, rng);
   rn::Adam adam(m.parameters(), 0.01);
   Rng sample(22);
-  EXPECT_THROW(
-      rl::apply_checkpoint_to_trainer(d, "a2c", 99, 4, adam, sample),
-      std::runtime_error);
+  std::uint64_t stream_seed = 7;
+  EXPECT_THROW(rl::apply_checkpoint_to_trainer(d, "a2c", 99, 4, adam, sample,
+                                               stream_seed),
+               std::runtime_error);
+  EXPECT_EQ(stream_seed, 7u);
+}
+
+TEST(Checkpoint, FileWithoutStreamSeedLoadsAndResumeKeepsOwnBase) {
+  // A file written before the action-stream base was recorded has no
+  // stream_seed line. It must still load (weights, progress, streams),
+  // and applying it leaves the trainer's own base in place.
+  Rng rng1(1);
+  Rng rng2(2);
+  rn::Mlp a({4, 8, 2}, rng1);
+  rn::Mlp b({4, 8, 2}, rng2);
+  rn::Adam adam(b.parameters(), 0.01);
+  rl::CheckpointData old = sample_data();
+  old.stream_seed.reset();
+  old.optimizer = adam.state_rows();
+  const std::string blob = rl::serialize_checkpoint(a, old);
+  ASSERT_EQ(blob.find("stream_seed"), std::string::npos);
+  rl::CheckpointData loaded;
+  rl::deserialize_checkpoint(b, loaded, blob);
+  expect_data_eq(old, loaded);
+  EXPECT_TRUE(same_parameters(a, b));
+
+  Rng sample(22);
+  std::uint64_t stream_seed = 7;
+  rl::apply_checkpoint_to_trainer(loaded, "a2c", 99, 4, adam, sample,
+                                  stream_seed);
+  EXPECT_EQ(stream_seed, 7u);
+  EXPECT_EQ(sample.state(), old.rngs.front().second);
+
+  // With the line present, the base comes from the file.
+  loaded.stream_seed = 0xFEEDFACECAFEBEEFULL;
+  rl::apply_checkpoint_to_trainer(loaded, "a2c", 99, 4, adam, sample,
+                                  stream_seed);
+  EXPECT_EQ(stream_seed, 0xFEEDFACECAFEBEEFULL);
 }
 
 namespace {

@@ -493,12 +493,31 @@ std::uint64_t pinned_run(PinTrainer which, bool async, int width = 4,
 
 TEST(TrainingPin, A2cVec4MatchesRecordedFingerprint) {
   EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/false),
-            6341448210998224345ULL);
+            12601305670795918693ULL);
 }
 
 TEST(TrainingPin, PpoVec4MatchesRecordedFingerprint) {
   EXPECT_EQ(pinned_run(PinTrainer::kPpo, /*async=*/false),
-            15364996581688326263ULL);
+            6757788872011778008ULL);
+}
+
+// Each episode acts under the weights left by the previous update, so
+// this is the trajectory the async actor–learner pinned at
+// async_batch=1 (A2cAsync4), now produced by lockstep width 1.
+TEST(TrainingPin, A2cWidth1MatchesRecordedFingerprint) {
+  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/false, /*width=*/1),
+            8462888407090456584ULL);
+}
+
+// A PPO round acts under one set of weights whatever the width, and
+// every episode draws from its own action stream: the fingerprint is
+// the same at every width (and equals the recorded PpoAsync4 value).
+TEST(TrainingPin, PpoIsWidthInvariant) {
+  for (const int width : {1, 2, 8}) {
+    EXPECT_EQ(pinned_run(PinTrainer::kPpo, /*async=*/false, width),
+              6757788872011778008ULL)
+        << "width " << width;
+  }
 }
 
 TEST(TrainingPin, A2cAsync4MatchesRecordedFingerprint) {
@@ -521,7 +540,7 @@ TEST(TrainingPin, A2cWidth1Unroll1MatchesRecordedFingerprint) {
   cfg.window = 2;
   cfg.unroll = 1;
   EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/false, /*width=*/1, cfg),
-            5996024769877668440ULL);
+            13568159228852489684ULL);
 }
 
 // ---------------------------------------------------------------------
