@@ -1,20 +1,20 @@
 // Training-throughput + quality baseline: episodes/sec AND final mean
 // reward of the one training loop at VecEnv width 1, 4 and 8 (lockstep
-// waves, batched no-grad forwards) and in async actor–learner mode, on
-// one small instance. On a single core the speedup comes from NoGrad
+// waves, batched no-grad forwards), on one small instance. On a single core the speedup comes from NoGrad
 // inference rollouts and amortizing per-op autograd dispatch over the
 // batch, not from threads — which is exactly the regime RL training
 // lives in (many tiny forwards). Numbers land in
 // BENCH_train_throughput.json (throughput series) and
-// BENCH_train_quality.json (speed AND reward per mode: multi-env runs
+// BENCH_train_quality.json (speed AND reward per width: multi-env runs
 // must match the width-1 reward, not just outrun it).
 //
-//   READYS_BENCH_EPISODES  episodes per mode (default 192)
+//   READYS_BENCH_EPISODES  episodes per width (default 192)
 //   READYS_BENCH_TILES     Cholesky tile count (default 4)
 //   READYS_BENCH_SIGMA     duration noise level (default 0.3)
 //   READYS_BENCH_TRAINER   a2c | ppo (default a2c)
 //   READYS_HIDDEN          embedding width (default 32)
-//   READYS_BENCH_ASYNC_ACTORS / READYS_BENCH_ASYNC_BATCH  async knobs
+//   READYS_BENCH_SEED      env seed AND agent seed (default 1), so a
+//                          sweep over it is a sweep of independent runs
 
 #include <chrono>
 #include <cmath>
@@ -28,13 +28,7 @@ using namespace readys;
 
 namespace {
 
-struct ModeSpec {
-  const char* mode;  ///< vec | async
-  int num_envs;
-};
-
 struct Cell {
-  std::string mode;
   int num_envs = 1;
   int episodes = 0;
   std::size_t updates = 0;
@@ -44,30 +38,24 @@ struct Cell {
   double final_mean_reward = 0.0;
 };
 
-Cell run_mode(const core::RunConfig& cfg, const dag::TaskGraph& graph,
-              const sim::Platform& platform, const sim::CostModel& costs,
-              const ModeSpec& spec) {
+Cell run_width(const core::RunConfig& cfg, const dag::TaskGraph& graph,
+               const sim::Platform& platform, const sim::CostModel& costs,
+               int num_envs) {
   using clock = std::chrono::steady_clock;
   Cell cell;
-  cell.mode = spec.mode;
-  cell.num_envs = spec.num_envs;
+  cell.num_envs = num_envs;
   cell.episodes = cfg.episodes;
 
-  // A fresh net per mode, identical init seed: every cell trains the
+  // A fresh net per width, identical init seed: every cell trains the
   // same model on the same episode seeds.
   rl::PolicyNet net(
       rl::StateEncoder::node_feature_width(graph.num_kernel_types()),
       rl::StateEncoder::kResourceFeatureWidth, cfg.agent);
-  rl::TrainOptions opts = cfg.train_options();
-  if (std::string(spec.mode) == "async") {
-    opts.async = true;
-    opts.async_actors = util::env_int("READYS_BENCH_ASYNC_ACTORS", 0);
-    opts.async_batch = util::env_int("READYS_BENCH_ASYNC_BATCH", 1);
-  }
+  const rl::TrainOptions opts = cfg.train_options();
   rl::TrainReport report;
   const auto t0 = clock::now();
   rl::VecEnv envs(graph, platform, costs, cfg.env_config(),
-                  static_cast<std::size_t>(spec.num_envs));
+                  static_cast<std::size_t>(num_envs));
   if (cfg.trainer == "ppo") {
     rl::PpoTrainer trainer(net, cfg.agent);
     report = trainer.train(envs, opts);
@@ -96,6 +84,7 @@ int main() {
   cfg.trainer = util::env_string("READYS_BENCH_TRAINER", "a2c");
   cfg.agent.hidden = util::env_int("READYS_HIDDEN", 32);
   cfg.seed = util::env_uint64("READYS_BENCH_SEED", 1);
+  cfg.agent.seed = cfg.seed;
   cfg.validate();
 
   const auto graph = cfg.make_graph();
@@ -108,16 +97,14 @@ int main() {
   run.manifest.set("graph", graph.name());
 
   std::printf(
-      "=== Training throughput + quality (%s / %s / %s, %d episodes/mode, "
+      "=== Training throughput + quality (%s / %s / %s, %d episodes/width, "
       "sigma=%.2f) ===\n\n",
       cfg.trainer.c_str(), graph.name().c_str(), platform.name().c_str(),
       cfg.episodes, cfg.sigma);
 
-  const std::vector<ModeSpec> modes{
-      {"vec", 1}, {"vec", 4}, {"vec", 8}, {"async", 8}};
   std::vector<Cell> cells;
-  for (const auto& m : modes) {
-    cells.push_back(run_mode(cfg, graph, platform, costs, m));
+  for (const int num_envs : {1, 4, 8}) {
+    cells.push_back(run_width(cfg, graph, platform, costs, num_envs));
     std::fflush(stdout);
   }
 
@@ -136,10 +123,10 @@ int main() {
                : 0.0;
   };
 
-  util::Table table({"mode", "envs", "episodes", "updates", "wall (s)",
+  util::Table table({"envs", "episodes", "updates", "wall (s)",
                      "episodes/s", "speedup", "final reward", "dreward %"});
   for (const Cell& c : cells) {
-    table.add_row({c.mode, std::to_string(c.num_envs),
+    table.add_row({std::to_string(c.num_envs),
                    std::to_string(c.episodes), std::to_string(c.updates),
                    util::Table::num(c.wall_s, 2),
                    util::Table::num(c.episodes_per_s, 2),
@@ -149,7 +136,7 @@ int main() {
   }
   table.print();
 
-  // The headline cell: the fastest multi-env mode whose reward matched
+  // The headline cell: the fastest multi-env width whose reward matched
   // width 1 within the +-10% acceptance band. Speed bought by degrading
   // the learned policy never headlines.
   const Cell* headline = &cells.front();
@@ -159,8 +146,8 @@ int main() {
     if (c.episodes_per_s > headline->episodes_per_s) headline = &c;
   }
   std::printf(
-      "\n%s N=%d vs width 1: %.2fx episodes/s at %.1f%% reward delta\n",
-      headline->mode.c_str(), headline->num_envs, speedup_of(*headline),
+      "\nN=%d vs width 1: %.2fx episodes/s at %.1f%% reward delta\n",
+      headline->num_envs, speedup_of(*headline),
       reward_delta_pct(*headline));
 
   const auto write_cells = [&](std::FILE* f) {
@@ -168,12 +155,12 @@ int main() {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
       std::fprintf(f,
-                   "    {\"mode\": \"%s\", \"num_envs\": %d, \"episodes\": "
+                   "    {\"num_envs\": %d, \"episodes\": "
                    "%d, \"updates\": %zu, \"wall_s\": %.3f, "
                    "\"episodes_per_s\": %.2f, \"updates_per_s\": %.2f, "
                    "\"speedup\": %.3f, \"final_mean_reward\": %.6f, "
                    "\"reward_delta_pct\": %.2f}%s\n",
-                   c.mode.c_str(), c.num_envs, c.episodes, c.updates,
+                   c.num_envs, c.episodes, c.updates,
                    c.wall_s, c.episodes_per_s, c.updates_per_s, speedup_of(c),
                    c.final_mean_reward, reward_delta_pct(c),
                    i + 1 < cells.size() ? "," : "");
@@ -185,7 +172,7 @@ int main() {
     std::fprintf(f,
                  "  \"trainer\": \"%s\",\n  \"app\": \"%s\",\n  \"tiles\": "
                  "%d,\n  \"hidden\": %d,\n  \"sigma\": %.3f,\n"
-                 "  \"episodes_per_mode\": %d,\n  \"platform\": \"%s\",\n",
+                 "  \"episodes_per_width\": %d,\n  \"platform\": \"%s\",\n",
                  cfg.trainer.c_str(), cfg.app.c_str(), cfg.tiles,
                  cfg.agent.hidden, cfg.sigma, cfg.episodes,
                  platform.name().c_str());
@@ -208,9 +195,9 @@ int main() {
     write_header(f, "train_quality");
     write_cells(f);
     std::fprintf(f,
-                 "  \"headline_mode\": \"%s\",\n  \"headline_speedup\": "
+                 "  \"headline_num_envs\": %d,\n  \"headline_speedup\": "
                  "%.3f,\n  \"headline_reward_delta_pct\": %.2f\n}\n",
-                 headline->mode.c_str(), speedup_of(*headline),
+                 headline->num_envs, speedup_of(*headline),
                  reward_delta_pct(*headline));
     std::fclose(f);
     std::printf("quality series written to %s\n", quality_path);

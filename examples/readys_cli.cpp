@@ -11,7 +11,6 @@
 //   readys_cli cluster-bench [--config <run.json>] [cluster flags]
 //
 // train flags: [--trainer a2c|ppo] [--num-envs <n>]
-//              [--async] [--async-actors <n>] [--async-batch <n>]
 //              [--checkpoint-dir <dir>] [--checkpoint-every <n>]
 //              [--checkpoint-retain <k>] [--resume]
 //              [--metrics-out <f.jsonl>] [--trace-out <f.json>]
@@ -49,7 +48,6 @@ int usage() {
       "  readys_cli train    --config <run.json> <out.weights> [train "
       "flags]\n"
       "    train flags: [--trainer a2c|ppo] [--num-envs <n>]\n"
-      "                 [--async] [--async-actors <n>] [--async-batch <n>]\n"
       "                 [--checkpoint-dir <dir>] [--checkpoint-every <n>]\n"
       "                 [--checkpoint-retain <k>] [--resume]\n"
       "                 [--metrics-out <f.jsonl>] [--trace-out <f.json>] "
@@ -139,16 +137,6 @@ int cmd_train(int argc, char** argv) {
       cfg.trainer = argv[++i];
     } else if (flag == "--num-envs" && i + 1 < argc) {
       if (!parse_arg("--num-envs", argv[++i], cfg.num_envs)) return 2;
-    } else if (flag == "--async") {
-      cfg.async = true;
-    } else if (flag == "--async-actors" && i + 1 < argc) {
-      if (!parse_arg("--async-actors", argv[++i], cfg.async_actors)) {
-        return 2;
-      }
-    } else if (flag == "--async-batch" && i + 1 < argc) {
-      if (!parse_arg("--async-batch", argv[++i], cfg.async_batch)) {
-        return 2;
-      }
     } else if (flag == "--checkpoint-dir" && i + 1 < argc) {
       cfg.checkpoint_dir = argv[++i];
     } else if (flag == "--checkpoint-every" && i + 1 < argc) {

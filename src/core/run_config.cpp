@@ -241,9 +241,6 @@ std::string RunConfig::to_json() const {
       .field("checkpoint_retain", checkpoint_retain)
       .field("resume", resume)
       .field("divergence_patience", divergence_patience)
-      .field("async", async)
-      .field("async_actors", async_actors)
-      .field("async_batch", async_batch)
       .field("serve_sessions", serve_sessions)
       .field("serve_rate", serve_rate)
       .field("serve_queue", serve_queue)
@@ -295,9 +292,6 @@ RunConfig RunConfig::from_json(const std::string& json) {
     else if (key == "checkpoint_retain") cfg.checkpoint_retain = parse_int_field(r);
     else if (key == "resume") cfg.resume = r.parse_bool();
     else if (key == "divergence_patience") cfg.divergence_patience = parse_int_field(r);
-    else if (key == "async") cfg.async = r.parse_bool();
-    else if (key == "async_actors") cfg.async_actors = parse_int_field(r);
-    else if (key == "async_batch") cfg.async_batch = parse_int_field(r);
     else if (key == "serve_sessions") cfg.serve_sessions = parse_int_field(r);
     else if (key == "serve_rate") cfg.serve_rate = r.parse_number();
     else if (key == "serve_queue") cfg.serve_queue = parse_int_field(r);
@@ -413,12 +407,6 @@ void RunConfig::validate() const {
   if (checkpoint_retain < 1) {
     throw std::invalid_argument("RunConfig: checkpoint_retain must be >= 1");
   }
-  if (async_actors < 0) {
-    throw std::invalid_argument("RunConfig: async_actors must be >= 0");
-  }
-  if (async_batch < 1) {
-    throw std::invalid_argument("RunConfig: async_batch must be >= 1");
-  }
   if (serve_sessions < 0) {
     throw std::invalid_argument("RunConfig: serve_sessions must be >= 0");
   }
@@ -514,9 +502,6 @@ rl::TrainOptions RunConfig::train_options() const {
   opts.checkpoint_retain = checkpoint_retain;
   opts.resume = resume;
   opts.divergence_patience = divergence_patience;
-  opts.async = async;
-  opts.async_actors = async_actors;
-  opts.async_batch = async_batch;
   return opts;
 }
 

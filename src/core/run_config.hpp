@@ -52,11 +52,6 @@ struct RunConfig {
   bool resume = false;
   int divergence_patience = 3;
 
-  // --- async actor–learner (see rl::TrainOptions) ---
-  bool async = false;    ///< async actor–learner mode
-  int async_actors = 0;  ///< 0 = one actor thread per env
-  int async_batch = 1;   ///< episodes the learner takes per pass
-
   // --- decision service (serve-bench; see src/serve) ---
   int serve_sessions = 64;         ///< sessions the load generator offers
   double serve_rate = 50.0;        ///< offered arrivals per second

@@ -11,11 +11,6 @@ namespace readys::rl {
 A2CTrainer::A2CTrainer(PolicyNet& net, const AgentConfig& cfg)
     : Learner(net, cfg, "a2c", 0xA3EC647659359ACDULL) {}
 
-int A2CTrainer::episodes_per_learn(const TrainOptions& opts,
-                                   std::size_t width) const {
-  return opts.async ? opts.async_batch : static_cast<int>(width);
-}
-
 std::size_t A2CTrainer::learn(std::vector<EpisodeRollout>& eps,
                               std::vector<UpdateStats>& stats) {
   std::size_t applied = 0;

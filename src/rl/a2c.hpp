@@ -14,8 +14,6 @@ namespace readys::rl {
 /// update per episode in episode order at any VecEnv width (or per
 /// `unroll`-step segment of it), so the entropy schedule, divergence
 /// patience and checkpoint cadence mean the same thing at any width.
-/// In async mode (TrainOptions::async) the training loop hands over
-/// `async_batch` episodes at a time; the updates stay per episode.
 class A2CTrainer final : public Learner {
  public:
   A2CTrainer(PolicyNet& net, const AgentConfig& cfg);
@@ -29,8 +27,9 @@ class A2CTrainer final : public Learner {
     bool done = false;
   };
 
-  int episodes_per_learn(const TrainOptions& opts,
-                         std::size_t width) const override;
+  int episodes_per_learn(std::size_t width) const override {
+    return static_cast<int>(width);
+  }
   std::size_t learn(std::vector<EpisodeRollout>& eps,
                     std::vector<UpdateStats>& stats) override;
   double reported_reward(const EpisodeRollout& e) const override {

@@ -472,7 +472,7 @@ bool load_checkpoint(const std::string& dir, nn::Module& module,
 
 void apply_checkpoint_to_trainer(const CheckpointData& data,
                                  const std::string& trainer,
-                                 std::uint64_t env_seed, std::size_t num_envs,
+                                 std::uint64_t env_seed,
                                  nn::Optimizer& optimizer,
                                  util::Rng& sample_rng,
                                  std::uint64_t& stream_seed) {
@@ -486,12 +486,6 @@ void apply_checkpoint_to_trainer(const CheckpointData& data,
                      << " differs from this run's seed " << env_seed
                      << "; training continues but is not bit-identical to "
                         "the original run";
-  }
-  if (data.num_envs != num_envs) {
-    util::log_warn() << "resume: checkpoint was written with num_envs="
-                     << data.num_envs << ", this run uses num_envs="
-                     << num_envs << "; episode batching (and thus the "
-                     << "update sequence) will differ";
   }
   bool found_sample = false;
   for (const auto& [name, st] : data.rngs) {

@@ -103,14 +103,15 @@ bool load_checkpoint(const std::string& dir, nn::Module& module,
 /// Applies the non-weight parts of a loaded checkpoint to a trainer:
 /// restores the optimizer moments, the "sample" RNG stream and the
 /// action-stream base (`stream_seed` keeps its value, with a warning,
-/// when the file carries none). Throws
-/// std::runtime_error when the checkpoint was written by a different
-/// trainer (resuming a2c from a ppo file silently trains garbage); logs
-/// a warning — and continues with fresh state — when the seed or env
-/// width differs (resume works, bit-identity does not).
+/// when the file carries none). Throws std::runtime_error when the
+/// checkpoint was written by a different trainer (resuming a2c from a
+/// ppo file silently trains garbage); logs a warning — and continues —
+/// when the env seed differs (resume works, bit-identity does not).
+/// Learner::train checks the width itself: another width breaks
+/// bit-identity only when it changes the episodes per learn() call.
 void apply_checkpoint_to_trainer(const CheckpointData& data,
                                  const std::string& trainer,
-                                 std::uint64_t env_seed, std::size_t num_envs,
+                                 std::uint64_t env_seed,
                                  nn::Optimizer& optimizer,
                                  util::Rng& sample_rng,
                                  std::uint64_t& stream_seed);

@@ -99,21 +99,6 @@ struct TrainOptions {
   /// it means the same thing at any num_envs: A2C updates once per
   /// episode at every width.
   int divergence_patience = 3;
-
-  // --- async actor–learner ---
-  /// Decouple acting from learning: actor threads run whole episodes on
-  /// their own env slot (reseeded per episode from `seed` + episode
-  /// index) under a policy replica synced at episode start, and the
-  /// learner takes `async_batch` finished episodes at a time. Actors only
-  /// run the episodes the learner has released, so they are parked while
-  /// the weights change and a run is bit-reproducible for any actor count.
-  bool async = false;
-  /// Actor thread count; 0 means one per env. Clamped to num_envs (each
-  /// actor owns one VecEnv slot exclusively).
-  int async_actors = 0;
-  /// Episodes the learner takes per pass (A2C still updates once per
-  /// episode; PPO always takes its rollout_episodes).
-  int async_batch = 1;
 };
 
 }  // namespace readys::rl

@@ -10,10 +10,6 @@ namespace readys::rl {
 PpoTrainer::PpoTrainer(PolicyNet& net, const AgentConfig& cfg, PpoConfig ppo)
     : Learner(net, cfg, "ppo", 0xC2B2AE3D27D4EB4FULL), ppo_(ppo) {}
 
-int PpoTrainer::episodes_per_learn(const TrainOptions&, std::size_t) const {
-  return ppo_.rollout_episodes;
-}
-
 double PpoTrainer::reported_reward(const EpisodeRollout& e) const {
   return e.rewards.empty() ? 0.0 : shape_reward(e.rewards.back());
 }

@@ -21,8 +21,9 @@ struct PpoConfig {
 /// shaping and training loop as the A2C trainer, so the two are
 /// directly comparable (see bench/ablation_hyperparams). Each round of
 /// `rollout_episodes` episodes — collected in waves of up to the VecEnv
-/// width, or drained from the async actors — feeds one optimize() pass;
-/// the report counts rounds as updates.
+/// width, all under the same weights — feeds one optimize() pass; the
+/// report counts rounds as updates. A run is therefore the same at every
+/// width.
 class PpoTrainer final : public Learner {
  public:
   PpoTrainer(PolicyNet& net, const AgentConfig& cfg, PpoConfig ppo = {});
@@ -36,8 +37,9 @@ class PpoTrainer final : public Learner {
     double old_value = 0.0;  ///< V(s) at collection time
   };
 
-  int episodes_per_learn(const TrainOptions& opts,
-                         std::size_t width) const override;
+  int episodes_per_learn(std::size_t) const override {
+    return ppo_.rollout_episodes;
+  }
   std::size_t learn(std::vector<EpisodeRollout>& eps,
                     std::vector<UpdateStats>& stats) override;
   /// The shaped terminal reward.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
@@ -13,6 +12,21 @@
 #include "util/stats.hpp"
 
 namespace readys::rl {
+
+std::size_t sample_categorical(const tensor::Tensor& probs, util::Rng& rng) {
+  const double u = rng.uniform();
+  double acc = 0.0;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    acc += probs[i];
+    if (u < acc) return i;
+  }
+  return probs.size() - 1;  // numerical slack
+}
+
+std::uint64_t episode_seed(std::uint64_t base, int index) {
+  return base ^ (0x9E3779B97F4A7C15ULL *
+                 (static_cast<std::uint64_t>(index) + 1));
+}
 
 double shape_reward(const AgentConfig& cfg, double reward) {
   if (!std::isfinite(reward)) {
@@ -40,25 +54,12 @@ struct Learner::Run {
 
 namespace {
 
-/// Where the training loop's episodes come from.
-class RolloutSource {
- public:
-  RolloutSource() = default;
-  virtual ~RolloutSource() = default;
-  RolloutSource(const RolloutSource&) = delete;
-  RolloutSource& operator=(const RolloutSource&) = delete;
-  /// Runs episodes [first, first + count) into `eps`, sorted by index.
-  /// The loop reuses one buffer across calls.
-  virtual void collect(int first, int count,
-                       std::vector<EpisodeRollout>& eps) = 0;
-};
-
 /// Lockstep waves over the VecEnv: one batched no-grad forward per wave
 /// step, envs dropping out as their episodes finish. Episode i draws its
 /// actions from its own stream, seeded episode_seed(stream_seed, i), so
 /// a trajectory depends on the episode index and the weights it acts
 /// under, never on the width or on the episodes stepped beside it.
-class LockstepSource final : public RolloutSource {
+class LockstepSource {
  public:
   LockstepSource(VecEnv& envs, PolicyNet& net, std::uint64_t env_seed,
                  std::uint64_t stream_seed)
@@ -68,8 +69,9 @@ class LockstepSource final : public RolloutSource {
         stream_seed_(stream_seed),
         rngs_(envs.size()) {}
 
-  void collect(int first, int count,
-               std::vector<EpisodeRollout>& eps) override {
+  /// Runs episodes [first, first + count) into `eps`, sorted by index.
+  /// The loop reuses one buffer across calls.
+  void collect(int first, int count, std::vector<EpisodeRollout>& eps) {
     eps.resize(static_cast<std::size_t>(count));
     const std::size_t width = envs_->size();
     for (std::size_t base = 0; base < eps.size(); base += width) {
@@ -128,87 +130,6 @@ class LockstepSource final : public RolloutSource {
   std::vector<util::Rng> rngs_;  ///< one action stream per env slot
 };
 
-/// The async actor–learner source. collect() releases exactly the
-/// episodes it returns, so every actor is parked while the learner
-/// updates: the weights an episode acts under (synced into the slot's
-/// replica at episode start) are those after the previous learn() call,
-/// whichever thread runs it.
-class ActorSource final : public RolloutSource {
- public:
-  ActorSource(VecEnv& envs, const PolicyNet& net, std::shared_mutex& net_mutex,
-              const AgentConfig& cfg, const TrainOptions& opts,
-              std::uint64_t action_seed, int first_episode, int batch)
-      : queue_(static_cast<std::size_t>(batch)),
-        learner_params_(net.parameters()) {
-    const std::size_t width = envs.size();
-    ActorPool::Options pool_opts;
-    pool_opts.first_episode = first_episode;
-    pool_opts.episodes = opts.episodes;
-    pool_opts.actors = std::min(
-        opts.async_actors > 0 ? static_cast<std::size_t>(opts.async_actors)
-                              : width,
-        width);
-    pool_opts.env_seed = opts.seed;
-    pool_opts.action_seed = action_seed;
-    for (std::size_t s = 0; s < pool_opts.actors; ++s) {
-      replicas_.push_back(std::make_unique<PolicyNet>(
-          net.node_features(), net.resource_features(), cfg));
-      replica_params_.push_back(replicas_.back()->parameters());
-    }
-    pool_opts.on_episode_start = [this, &net_mutex](std::size_t slot, int) {
-      // Shared lock: the copy must not observe a half-applied Adam step.
-      std::shared_lock lock(net_mutex);
-      auto& params = replica_params_[slot];
-      for (std::size_t p = 0; p < params.size(); ++p) {
-        params[p].mutable_value() = learner_params_[p].value();
-      }
-    };
-    pool_ = std::make_unique<ActorPool>(
-        envs, queue_,
-        [this](std::size_t slot, const Observation& obs, util::Rng& rng) {
-          // The replica is slot-private: no lock needed per decision.
-          tensor::NoGradGuard no_grad;
-          const PolicyNet::Output out = replicas_[slot]->forward(obs);
-          ActorPool::Act act;
-          act.action = sample_categorical(out.probs.value(), rng);
-          act.log_prob = out.log_probs.value()[act.action];
-          act.value = out.value.value().item();
-          return act;
-        },
-        pool_opts);
-  }
-
-  void collect(int first, int count,
-               std::vector<EpisodeRollout>& eps) override {
-    pool_->release_below(first + count);
-    eps.clear();
-    EpisodeRollout rec;
-    while (static_cast<int>(eps.size()) < count) {
-      if (!queue_.pop(rec)) {
-        pool_->join();
-        if (auto err = queue_.error()) std::rethrow_exception(err);
-        throw std::runtime_error(
-            "train: async episode queue closed before the run finished");
-      }
-      eps.push_back(std::move(rec));
-    }
-    // Arrival order is thread timing; the learner sees index order.
-    std::sort(eps.begin(), eps.end(),
-              [](const EpisodeRollout& a, const EpisodeRollout& b) {
-                return a.index < b.index;
-              });
-  }
-
- private:
-  // Destruction runs bottom-up: the pool joins its actor threads before
-  // the replicas and the queue they use die.
-  EpisodeQueue queue_;
-  std::vector<tensor::Var> learner_params_;
-  std::vector<std::unique_ptr<PolicyNet>> replicas_;
-  std::vector<std::vector<tensor::Var>> replica_params_;
-  std::unique_ptr<ActorPool> pool_;
-};
-
 double tail_mean(const std::vector<double>& v, std::size_t tail) {
   return util::mean({v.data() + v.size() - tail, tail});
 }
@@ -261,11 +182,8 @@ bool Learner::apply_loss(const tensor::Var& loss) {
     if (t_obs) t_obs->optim_skipped.add();
     return false;
   }
-  {
-    std::unique_lock lock(net_mutex_);
-    optimizer_.step();
-    net_->bump_weight_version();
-  }
+  optimizer_.step();
+  net_->bump_weight_version();
   if (t_obs) t_obs->optim_updates.add();
   return true;
 }
@@ -279,7 +197,6 @@ void Learner::guard(bool applied, int units) {
   ++run.report.skipped_updates;
   run.divergent_streak += std::max(1, units);
   if (run.divergent_streak >= run.patience) {
-    std::unique_lock lock(net_mutex_);
     nn::deserialize_parameters(*net_, run.last_good);
     // Fresh optimizer: the moment estimates were built on the divergent
     // trajectory and would steer the restored weights right back into it.
@@ -300,12 +217,23 @@ TrainReport Learner::train(VecEnv& envs, const TrainOptions& opts) {
     ~RunScope() { self->run_ = nullptr; }
   } run_scope{this};
 
+  const int per_learn = std::max(1, episodes_per_learn(width));
   int start = 0;
   if (opts.resume && !opts.checkpoint_dir.empty()) {
     CheckpointData ck;
     if (load_checkpoint(opts.checkpoint_dir, *net_, ck)) {
-      apply_checkpoint_to_trainer(ck, name_, opts.seed, width, optimizer_,
-                                  rng_, stream_seed_);
+      apply_checkpoint_to_trainer(ck, name_, opts.seed, optimizer_, rng_,
+                                  stream_seed_);
+      // Trajectories depend on the width only through the episodes each
+      // learn() call takes, so another width resumes exactly unless that
+      // count changes.
+      if (std::max(1, episodes_per_learn(ck.num_envs)) != per_learn) {
+        util::log_warn() << "resume: checkpoint was written with num_envs="
+                         << ck.num_envs << ", this run uses num_envs="
+                         << width << "; the episodes acting under one set "
+                         << "of weights (and thus the trajectories) will "
+                         << "differ";
+      }
       start = std::min(ck.progress.episode, opts.episodes);
       report.updates = ck.progress.updates;
       report.skipped_updates = ck.progress.skipped_updates;
@@ -337,16 +265,7 @@ TrainReport Learner::train(VecEnv& envs, const TrainOptions& opts) {
     save_checkpoint(opts.checkpoint_dir, *net_, d, ck_opts);
   };
 
-  const int per_learn = std::max(1, episodes_per_learn(opts, width));
-  std::unique_ptr<RolloutSource> source;
-  if (opts.async) {
-    source = std::make_unique<ActorSource>(envs, *net_, net_mutex_, cfg_,
-                                           opts, stream_seed_, start,
-                                           per_learn);
-  } else {
-    source = std::make_unique<LockstepSource>(envs, *net_, opts.seed,
-                                              stream_seed_);
-  }
+  LockstepSource source(envs, *net_, opts.seed, stream_seed_);
 
   using obs_clock = std::chrono::steady_clock;
   std::vector<EpisodeRollout> eps;
@@ -356,7 +275,7 @@ TrainReport Learner::train(VecEnv& envs, const TrainOptions& opts) {
     const int count = std::min(per_learn, opts.episodes - ep);
     obs::Telemetry* t_obs = obs::telemetry();
     const auto t0 = t_obs ? obs_clock::now() : obs_clock::time_point{};
-    source->collect(ep, count, eps);
+    source.collect(ep, count, eps);
     stats.assign(eps.size(), UpdateStats{});
     report.updates += learn(eps, stats);
 
@@ -377,9 +296,8 @@ TrainReport Learner::train(VecEnv& envs, const TrainOptions& opts) {
         obs::JsonObject row;
         row.field("row", "episode")
             .field("trainer", name_)
-            .field("envs", static_cast<std::uint64_t>(width));
-        if (opts.async) row.field("async", true);
-        row.field("episode", e.index + 1)
+            .field("envs", static_cast<std::uint64_t>(width))
+            .field("episode", e.index + 1)
             .field("reward", reported_reward(e))
             .field("makespan_ms", e.makespan)
             .field("loss", stats[i].loss)

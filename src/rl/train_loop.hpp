@@ -1,20 +1,47 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "nn/optim.hpp"
-#include "rl/async.hpp"
 #include "rl/config.hpp"
 #include "rl/env.hpp"
 #include "rl/policy_net.hpp"
 #include "rl/vec_env.hpp"
+#include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
 namespace readys::rl {
+
+/// One completed episode, recorded as plain data (no autograd graph):
+/// everything a learner needs to re-forward the trajectory and compute a
+/// loss. Rewards are the raw environment rewards — the trainer applies
+/// its shaping (squash/clip) at update time, exactly once.
+struct EpisodeRollout {
+  int index = 0;  ///< global episode number (seeds derive from it)
+  std::vector<Observation> observations;  ///< one per decision
+  std::vector<std::size_t> actions;
+  std::vector<double> rewards;    ///< raw env reward after each action
+  std::vector<double> log_probs;  ///< log pi(a|s) at act time (PPO)
+  std::vector<double> values;     ///< V(s) at act time (PPO)
+  double reward_sum = 0.0;        ///< sum of raw rewards
+  double makespan = 0.0;
+  std::size_t decisions = 0;
+};
+
+/// Samples an index from a 1xN probability row by cumulative scan (the
+/// last index absorbs numerical slack). The one categorical sampler of
+/// the trainers: rollouts draw from per-episode streams, sampled
+/// evaluation from a per-call stream.
+std::size_t sample_categorical(const tensor::Tensor& probs, util::Rng& rng);
+
+/// Seed of episode `index`'s action stream under base `base`: the 64-bit
+/// golden-ratio increment (splitmix64's gamma) keeps adjacent episode
+/// indices far apart in seed space.
+std::uint64_t episode_seed(std::uint64_t base, int index);
 
 /// Applies the configured squash/clip (see AgentConfig) to a terminal
 /// reward. Shared by the A2C and PPO trainers. Throws std::domain_error
@@ -53,17 +80,13 @@ struct UpdateStats {
 /// telemetry episode rows and the final report all live there, once. A
 /// subclass supplies only its rollout-to-loss step (learn()).
 ///
-/// Episodes come from one of two rollout sources, both fully reseeded
-/// per global episode index i (env seed opts.seed + i):
-/// - lockstep (default): waves of up to envs.size() episodes stepped
-///   together, one forward_batched per wave step under NoGradGuard,
-///   actions drawn from the shared stream in ascending env order. Width
-///   1 trains one episode at a time.
-/// - async (opts.async): ActorPool threads each own one env slot and a
-///   policy replica synced at episode start; train() releases exactly
-///   the episodes it is about to learn from, so actors are parked while
-///   the weights change and every run is bit-reproducible for any actor
-///   count. Per-episode action streams derive from (stream seed, i).
+/// Episodes run in lockstep waves of up to envs.size() episodes, one
+/// forward_batched per wave step under NoGradGuard; width 1 trains one
+/// episode at a time. Episode i is fully reseeded from its global index:
+/// the env from opts.seed + i, its actions from their own stream,
+/// episode_seed(stream seed, i). All episodes of one learn() call act
+/// under the same weights, so a trajectory never depends on the width,
+/// only on how many episodes each learn() call takes.
 class Learner {
  public:
   virtual ~Learner() = default;
@@ -89,15 +112,14 @@ class Learner {
   double shape_reward(double reward) const;
 
  protected:
-  /// `name` tags checkpoints and telemetry rows; the shared sampling
-  /// stream (and the async per-episode streams) seed from
+  /// `name` tags checkpoints and telemetry rows; the shared stream and
+  /// the base of the per-episode action streams seed from
   /// cfg.seed ^ stream_salt.
   Learner(PolicyNet& net, const AgentConfig& cfg, const char* name,
           std::uint64_t stream_salt);
 
-  /// Episodes handed to one learn() call.
-  virtual int episodes_per_learn(const TrainOptions& opts,
-                                 std::size_t width) const = 0;
+  /// Episodes handed to one learn() call at VecEnv width `width`.
+  virtual int episodes_per_learn(std::size_t width) const = 0;
 
   /// Learns from consecutive episodes, sorted by index; fills stats[i]
   /// for eps[i] and returns the number of updates to count in the
@@ -125,10 +147,11 @@ class Learner {
   PolicyNet* net_;
   AgentConfig cfg_;
   nn::Adam optimizer_;
+  /// Base of the per-episode action streams; a resume restores it from
+  /// the checkpoint.
   std::uint64_t stream_seed_;
   /// The shared stream: PPO's minibatch shuffles. Checkpointed as
-  /// "sample". Actions come from per-episode streams seeded
-  /// episode_seed(stream_seed_, index).
+  /// "sample".
   util::Rng rng_;
   double last_loss_ = std::numeric_limits<double>::quiet_NaN();
   double last_grad_norm_ = std::numeric_limits<double>::quiet_NaN();
@@ -137,9 +160,6 @@ class Learner {
   struct Run;
   const char* name_;
   Run* run_ = nullptr;  ///< loop state while train() runs
-  /// Optimizer steps and rollbacks write the weights under it; async
-  /// actors hold it shared while copying them into their replicas.
-  std::shared_mutex net_mutex_;
 };
 
 }  // namespace readys::rl

@@ -20,6 +20,8 @@
 #include "obs/obs.hpp"
 #include "rl/agent.hpp"
 #include "rl/checkpoint.hpp"
+#include "rl/ppo.hpp"
+#include "rl/vec_env.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/platform.hpp"
 
@@ -350,7 +352,7 @@ TEST(Checkpoint, TrainerMismatchRefusesToResume) {
   rn::Adam adam(m.parameters(), 0.01);
   Rng sample(22);
   std::uint64_t stream_seed = 7;
-  EXPECT_THROW(rl::apply_checkpoint_to_trainer(d, "a2c", 99, 4, adam, sample,
+  EXPECT_THROW(rl::apply_checkpoint_to_trainer(d, "a2c", 99, adam, sample,
                                                stream_seed),
                std::runtime_error);
   EXPECT_EQ(stream_seed, 7u);
@@ -377,14 +379,14 @@ TEST(Checkpoint, FileWithoutStreamSeedLoadsAndResumeKeepsOwnBase) {
 
   Rng sample(22);
   std::uint64_t stream_seed = 7;
-  rl::apply_checkpoint_to_trainer(loaded, "a2c", 99, 4, adam, sample,
+  rl::apply_checkpoint_to_trainer(loaded, "a2c", 99, adam, sample,
                                   stream_seed);
   EXPECT_EQ(stream_seed, 7u);
   EXPECT_EQ(sample.state(), old.rngs.front().second);
 
   // With the line present, the base comes from the file.
   loaded.stream_seed = 0xFEEDFACECAFEBEEFULL;
-  rl::apply_checkpoint_to_trainer(loaded, "a2c", 99, 4, adam, sample,
+  rl::apply_checkpoint_to_trainer(loaded, "a2c", 99, adam, sample,
                                   stream_seed);
   EXPECT_EQ(stream_seed, 0xFEEDFACECAFEBEEFULL);
 }
@@ -479,6 +481,44 @@ TEST(Checkpoint, ResumedRunIsBitIdenticalToUninterruptedRun) {
 
   EXPECT_EQ(rn::serialize_parameters(reference.net()),
             rn::serialize_parameters(resumed.net()));
+  fs::remove_all(ref_dir);
+  fs::remove_all(dir);
+}
+
+TEST(Checkpoint, PpoResumedAtAnotherWidthIsBitIdentical) {
+  // A PPO round acts under one set of weights and every episode draws
+  // from its own action stream, so the width is invisible to training:
+  // 4 episodes at width 4 resumed to 8 at width 2 must land on the
+  // weights of 8 episodes at width 4.
+  const auto graph = rd::cholesky_graph(3);
+  const auto costs = rs::CostModel::cholesky();
+  const auto platform = rs::Platform::hybrid(1, 1);
+  const auto run = [&](std::size_t width, int episodes, const std::string& dir,
+                       bool resume, std::uint64_t agent_seed) {
+    const rl::AgentConfig cfg = tiny_config(agent_seed);
+    rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
+                      rl::StateEncoder::kResourceFeatureWidth, cfg);
+    rl::VecEnv envs(graph, platform, costs, {0.1, cfg.window, 5}, width);
+    rl::PpoTrainer trainer(net, cfg,
+                           {.rollout_episodes = 4, .epochs = 2,
+                            .minibatch = 16});
+    rl::TrainOptions opts;
+    opts.episodes = episodes;
+    opts.sigma = 0.1;
+    opts.seed = 5;
+    opts.checkpoint_dir = dir;
+    opts.checkpoint_every = 4;
+    opts.resume = resume;
+    trainer.train(envs, opts);
+    return rn::serialize_parameters(net);
+  };
+
+  const auto ref_dir = scratch_dir("readys-ckpt-ppo-width-ref");
+  const std::string reference = run(4, 8, ref_dir, false, 1);
+  const auto dir = scratch_dir("readys-ckpt-ppo-width-split");
+  run(4, 4, dir, false, 1);
+  // Another net seed too: weights, moments and streams come from the file.
+  EXPECT_EQ(run(2, 8, dir, true, 9), reference);
   fs::remove_all(ref_dir);
   fs::remove_all(dir);
 }

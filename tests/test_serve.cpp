@@ -1,15 +1,20 @@
 // DecisionService behavior suite: bounded admission + shedding,
 // deterministic multi-tenant completion (pump mode and worker threads),
 // deadline degradation to one-shot MCT, transient-fault retry with
-// eventual quarantine, and the drain / shutdown / abort lifecycles.
+// eventual quarantine, and the drain / shutdown / abort lifecycles,
+// including submitter threads racing abort and drain (aimed at the tsan
+// preset).
 // The bit-identical poison-session isolation proof lives in
 // tests/chaos/test_chaos_poison_session.cpp.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/readys.hpp"
@@ -435,4 +440,89 @@ TEST(Serve, ResultsAreStableAcrossBatchWidths) {
     EXPECT_EQ(wide[i].actions, narrow[i].actions);
     EXPECT_EQ(wide[i].makespan, narrow[i].makespan);
   }
+}
+
+TEST(Serve, ServiceAbortRacesSubmitters) {
+  // Threads keep submitting while the main thread pulls the plug. Every
+  // submission must resolve to exactly one disposition (completed,
+  // aborted, or shed) — admissions and retirements must balance even
+  // when abort lands mid-submit.
+  rr::AgentConfig agent;
+  agent.hidden = 8;
+  agent.gcn_layers = 1;
+  agent.window = 1;
+  agent.seed = 3;
+  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
+                    rr::StateEncoder::kResourceFeatureWidth, agent);
+
+  for (int round = 0; round < 3; ++round) {
+    rv::ServiceConfig sc;
+    sc.workers = 2;
+    sc.max_active = 2;
+    sc.queue_capacity = 8;
+    rv::DecisionService svc(net, agent, sc);
+
+    std::atomic<std::uint64_t> admitted{0};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < 3; ++t) {
+      submitters.emplace_back([&svc, &admitted, t] {
+        for (int i = 0; i < 16; ++i) {
+          rv::SessionSpec spec;
+          spec.tiles = 3;
+          spec.seed = static_cast<std::uint64_t>(t * 100 + i);
+          spec.deadline_us = -1.0;
+          const auto a = svc.submit(spec);
+          if (a.admitted) admitted.fetch_add(1, std::memory_order_relaxed);
+          if (a.reason == "stopped") return;
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5 * round));
+    svc.abort_shutdown();
+    for (auto& s : submitters) s.join();
+
+    const auto c = svc.counters();
+    EXPECT_EQ(admitted.load(), c.admitted);
+    EXPECT_EQ(c.completed + c.quarantined + c.aborted, c.admitted);
+    EXPECT_EQ(svc.results().size(), static_cast<std::size_t>(c.admitted));
+    EXPECT_TRUE(svc.idle());
+  }
+}
+
+TEST(Serve, ServiceDrainRacesSubmitters) {
+  rr::AgentConfig agent;
+  agent.hidden = 8;
+  agent.gcn_layers = 1;
+  agent.window = 1;
+  agent.seed = 3;
+  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
+                    rr::StateEncoder::kResourceFeatureWidth, agent);
+
+  rv::ServiceConfig sc;
+  sc.workers = 2;
+  sc.queue_capacity = 16;
+  rv::DecisionService svc(net, agent, sc);
+
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 2; ++t) {
+    submitters.emplace_back([&svc, t] {
+      for (int i = 0; i < 10; ++i) {
+        rv::SessionSpec spec;
+        spec.tiles = 3;
+        spec.seed = static_cast<std::uint64_t>(t * 50 + i);
+        spec.deadline_us = -1.0;
+        svc.submit(spec);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  svc.drain();
+  for (auto& s : submitters) s.join();
+  svc.wait_idle();
+
+  // Everything admitted before the drain completed; nothing aborted.
+  const auto c = svc.counters();
+  EXPECT_EQ(c.completed, c.admitted);
+  EXPECT_EQ(c.aborted, 0u);
+  svc.shutdown();
 }

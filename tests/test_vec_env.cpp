@@ -15,6 +15,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/run_config.hpp"
@@ -377,61 +378,15 @@ TEST(VecCadence, Width4And8FinalRewardTracksSequential) {
 }
 
 // ---------------------------------------------------------------------
-// Async actor–learner
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct AsyncRun {
-  rr::TrainReport report;
-  std::unique_ptr<rr::PolicyNet> net;
-};
-
-AsyncRun train_a2c_async(std::size_t width, int episodes, int actors) {
-  const auto graph = rd::cholesky_graph(3);
-  const auto platform = rs::Platform::hybrid(1, 1);
-  const auto costs = rs::CostModel::cholesky();
-  const auto cfg = tiny_config();
-  const rr::SchedulingEnv::Config env_cfg{0.1, cfg.window, 9};
-  rr::TrainOptions opts;
-  opts.episodes = episodes;
-  opts.sigma = 0.1;
-  opts.seed = 21;
-  opts.async = true;
-  opts.async_actors = actors;
-  opts.async_batch = 1;
-  AsyncRun run;
-  run.net = std::make_unique<rr::PolicyNet>(
-      rr::StateEncoder::node_feature_width(4),
-      rr::StateEncoder::kResourceFeatureWidth, cfg);
-  rr::A2CTrainer trainer(*run.net, cfg);
-  rr::VecEnv envs(graph, platform, costs, env_cfg, width);
-  run.report = trainer.train(envs, opts);
-  return run;
-}
-
-}  // namespace
-
-TEST(AsyncTrain, StrictModeIsRunToRunDeterministic) {
-  // Two independent runs with multiple actor threads: identical episode
-  // streams, rewards, and final weights. (Actor threads race for episode
-  // claims, but train() releases only the episodes it is about to
-  // learn from, parking them during updates, and sorts by index.)
-  const auto a = train_a2c_async(4, 12, /*actors=*/2);
-  const auto b = train_a2c_async(4, 12, /*actors=*/2);
-  expect_reports_equal(a.report, b.report);
-  expect_params_equal(*a.net, *b.net);
-  EXPECT_EQ(a.report.episode_rewards.size(), 12u);
-  EXPECT_EQ(a.report.updates, 12u);
-}
-
-// ---------------------------------------------------------------------
-// Cross-commit training pin: the lockstep (width >= 2) and async paths
-// are fingerprinted end to end — every episode's reward and makespan, the
-// update counters, and the final weights. The constants were recorded
-// before the trainers were folded into one training loop and hold in
-// both -DREADYS_NATIVE_ARCH=ON and OFF builds; a mismatch means a
-// refactor changed training numerics.
+// Cross-commit training pin: training runs are fingerprinted end to end
+// — every episode's reward and makespan, the update counters, and the
+// final weights. The constants hold in both -DREADYS_NATIVE_ARCH=ON and
+// OFF builds; a mismatch means a refactor changed training numerics.
+// A2cWidth1 and PpoIsWidthInvariant keep the values recorded for the
+// deleted actor–learner mode, which already drew per-episode action
+// streams; lockstep now produces them. A2cVec4, PpoVec4 and
+// A2cWidth1Unroll1 were re-recorded when lockstep moved from one shared
+// action stream to per-episode streams.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -458,7 +413,7 @@ std::uint64_t training_hash(const rr::TrainReport& report,
 
 enum class PinTrainer { kA2c, kPpo };
 
-std::uint64_t pinned_run(PinTrainer which, bool async, int width = 4,
+std::uint64_t pinned_run(PinTrainer which, int width = 4,
                          const rr::AgentConfig& cfg = tiny_config()) {
   const auto graph = rd::cholesky_graph(3);
   const auto platform = rs::Platform::hybrid(1, 1);
@@ -468,9 +423,6 @@ std::uint64_t pinned_run(PinTrainer which, bool async, int width = 4,
   opts.episodes = 12;
   opts.sigma = 0.1;
   opts.seed = 21;
-  opts.async = async;
-  opts.async_actors = (async && which == PinTrainer::kA2c) ? 2 : 0;
-  opts.async_batch = 1;
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
                     rr::StateEncoder::kResourceFeatureWidth, cfg);
   rr::VecEnv envs(graph, platform, costs, env_cfg, width);
@@ -492,42 +444,29 @@ std::uint64_t pinned_run(PinTrainer which, bool async, int width = 4,
 }  // namespace
 
 TEST(TrainingPin, A2cVec4MatchesRecordedFingerprint) {
-  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/false),
-            12601305670795918693ULL);
+  EXPECT_EQ(pinned_run(PinTrainer::kA2c), 12601305670795918693ULL);
 }
 
 TEST(TrainingPin, PpoVec4MatchesRecordedFingerprint) {
-  EXPECT_EQ(pinned_run(PinTrainer::kPpo, /*async=*/false),
-            6757788872011778008ULL);
+  EXPECT_EQ(pinned_run(PinTrainer::kPpo), 6757788872011778008ULL);
 }
 
-// Each episode acts under the weights left by the previous update, so
-// this is the trajectory the async actor–learner pinned at
-// async_batch=1 (A2cAsync4), now produced by lockstep width 1.
+// Each episode acts under the weights left by the previous update: the
+// trajectory the deleted actor–learner mode was pinned to with one
+// episode per learner pass.
 TEST(TrainingPin, A2cWidth1MatchesRecordedFingerprint) {
-  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/false, /*width=*/1),
+  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*width=*/1),
             8462888407090456584ULL);
 }
 
 // A PPO round acts under one set of weights whatever the width, and
 // every episode draws from its own action stream: the fingerprint is
-// the same at every width (and equals the recorded PpoAsync4 value).
+// the same at every width.
 TEST(TrainingPin, PpoIsWidthInvariant) {
   for (const int width : {1, 2, 8}) {
-    EXPECT_EQ(pinned_run(PinTrainer::kPpo, /*async=*/false, width),
-              6757788872011778008ULL)
+    EXPECT_EQ(pinned_run(PinTrainer::kPpo, width), 6757788872011778008ULL)
         << "width " << width;
   }
-}
-
-TEST(TrainingPin, A2cAsync4MatchesRecordedFingerprint) {
-  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/true),
-            8462888407090456584ULL);
-}
-
-TEST(TrainingPin, PpoAsync4MatchesRecordedFingerprint) {
-  EXPECT_EQ(pinned_run(PinTrainer::kPpo, /*async=*/true),
-            6757788872011778008ULL);
 }
 
 // Width 1 with one-decision unrolls: every loss term runs through the
@@ -539,7 +478,7 @@ TEST(TrainingPin, A2cWidth1Unroll1MatchesRecordedFingerprint) {
   cfg.gcn_layers = 2;
   cfg.window = 2;
   cfg.unroll = 1;
-  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*async=*/false, /*width=*/1, cfg),
+  EXPECT_EQ(pinned_run(PinTrainer::kA2c, /*width=*/1, cfg),
             13568159228852489684ULL);
 }
 
@@ -688,6 +627,19 @@ TEST(RunConfig, StrictParsingRejectsMalformedDocuments) {
        {"{\"agent\":{\"lr\":nan}}", "{\"agent\":{\"gamma\":inf}}",
         "{\"sigma\":1e999}", "{\"sigma\":0x10}", "{\"tiles\":+4}"}) {
     EXPECT_THROW(rc::RunConfig::from_json(doc), std::invalid_argument) << doc;
+  }
+  // Keys of the removed actor–learner mode are unknown, and named.
+  for (const auto& [doc, key] :
+       {std::pair{"{\"async\":true}", "\"async\""},
+        std::pair{"{\"async_actors\":2}", "\"async_actors\""},
+        std::pair{"{\"async_batch\":1}", "\"async_batch\""}}) {
+    try {
+      rc::RunConfig::from_json(doc);
+      ADD_FAILURE() << doc << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
   }
 
   // validate() names bad cross-field values even when the JSON is fine.
