@@ -3,12 +3,20 @@
 #include <cmath>
 #include <deque>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "core/apps.hpp"
 #include "dag/cholesky.hpp"
 #include "rl/env.hpp"
+#include "rl/policy_net.hpp"
+#include "rl/readys_scheduler.hpp"
 #include "sched/heft.hpp"
+#include "sim/simulator.hpp"
+#include "tensor/autograd.hpp"
 #include "util/rng.hpp"
 
+namespace rc = readys::core;
 namespace rd = readys::dag;
 namespace rs = readys::sim;
 namespace rr = readys::rl;
@@ -203,3 +211,133 @@ TEST(Env, DecisionCountAtLeastTaskCount) {
   run_first_fit(env, 2);
   EXPECT_GE(env.decisions_this_episode(), 20u);
 }
+
+// --- EnvMatchesScheduler ---------------------------------------------------
+// The training env and the deployed ReadysScheduler are two drivers of
+// one MDP. A greedy policy run through each must produce the same
+// schedule: same makespan and same trace, entry for entry, over a grid
+// of sizes, windows, weights, noise, seeds and fault injection.
+
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t trace_hash(const rs::Trace& trace) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& e : trace.entries()) {
+    h = fnv1a(h, &e.task, sizeof(e.task));
+    h = fnv1a(h, &e.resource, sizeof(e.resource));
+    h = fnv1a(h, &e.start, sizeof(e.start));
+    h = fnv1a(h, &e.finish, sizeof(e.finish));
+  }
+  return h;
+}
+
+rs::FaultModel grid_faults() {
+  rs::FaultModel f;
+  f.outage_rate = 0.002;
+  f.mean_downtime = 50.0;
+  f.slowdown_rate = 0.003;
+  f.mean_slowdown = 30.0;
+  f.slowdown_factor = 2.0;
+  f.task_failure_prob = 0.05;
+  return f;
+}
+
+/// Path A: the env stepped by the greedy f64 policy (first maximum).
+std::pair<double, std::uint64_t> run_env(const rr::PolicyNet& net,
+                                         rr::SchedulingEnv& env) {
+  readys::tensor::NoGradGuard no_grad;
+  while (!env.done()) {
+    const rr::PolicyNet::Output out = net.forward(env.observation());
+    const readys::tensor::Tensor& p = out.probs.value();
+    std::size_t a = 0;
+    for (std::size_t i = 1; i < p.size(); ++i) {
+      if (p[i] > p[a]) a = i;
+    }
+    env.step(a);
+  }
+  return {env.makespan(), trace_hash(env.engine().trace())};
+}
+
+class EnvMatchesScheduler : public ::testing::TestWithParam<rc::App> {
+ protected:
+  /// Runs the whole grid for one offer mode; every case must agree.
+  void run_grid(bool random_offer) {
+    const rc::App app = GetParam();
+    const rs::Platform platform = rs::Platform::hybrid(2, 2);
+    const rs::CostModel costs = rc::make_costs(app);
+    int cases = 0;
+    int mismatches = 0;
+    std::string first;
+    for (int tiles : {3, 4, 6}) {
+      const rd::TaskGraph graph = rc::make_graph(app, tiles);
+      for (int window = 0; window <= 2; ++window) {
+        for (std::uint64_t wseed = 1; wseed <= 3; ++wseed) {
+          rr::AgentConfig agent;
+          agent.hidden = 16;
+          agent.gcn_layers = 2;
+          agent.window = window;
+          agent.seed = wseed;
+          const rr::PolicyNet net(
+              rr::StateEncoder::node_feature_width(graph.num_kernel_types()),
+              rr::StateEncoder::kResourceFeatureWidth, agent);
+          for (double sigma : {0.0, 0.3}) {
+            for (bool faulty : {false, true}) {
+              const rs::FaultModel faults =
+                  faulty ? grid_faults() : rs::FaultModel::none();
+              for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                rr::SchedulingEnv env(graph, platform, costs,
+                                      {sigma, window, seed, random_offer,
+                                       faults});
+                const auto [env_mk, env_hash] = run_env(net, env);
+
+                rr::ReadysScheduler sched(
+                    net, window,
+                    {.greedy = true, .seed = seed,
+                     .random_offer = random_offer});
+                rs::Simulator sim(graph, platform, costs,
+                                  {.sigma = sigma, .seed = seed,
+                                   .faults = faults});
+                const rs::SimResult r = sim.run(sched);
+
+                ++cases;
+                if (r.makespan != env_mk || trace_hash(r.trace) != env_hash) {
+                  if (mismatches++ == 0) {
+                    std::ostringstream os;
+                    os << "T=" << tiles << " window=" << window
+                       << " weights=" << wseed << " sigma=" << sigma
+                       << " faults=" << faulty << " seed=" << seed
+                       << ": env makespan " << env_mk << ", scheduler "
+                       << r.makespan;
+                    first = os.str();
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(cases, 432);
+    EXPECT_EQ(mismatches, 0) << "first mismatch: " << first;
+  }
+};
+
+}  // namespace
+
+TEST_P(EnvMatchesScheduler, DeterministicOffers) { run_grid(false); }
+
+INSTANTIATE_TEST_SUITE_P(Apps, EnvMatchesScheduler,
+                         ::testing::Values(rc::App::kCholesky, rc::App::kLu,
+                                           rc::App::kQr),
+                         [](const auto& info) {
+                           return rc::app_name(info.param);
+                         });
