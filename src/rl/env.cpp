@@ -1,20 +1,60 @@
 #include "rl/env.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "sched/heft.hpp"
 
 namespace readys::rl {
 
+namespace {
+/// Salt of the offer stream, so offers never share draws with the noise
+/// or fault streams seeded from the same episode seed.
+constexpr std::uint64_t kOfferSalt = 0xD1B54A32D192ED03ULL;
+}  // namespace
+
+DecisionPoint::DecisionPoint(const dag::TaskGraph& graph,
+                             const sim::CostModel& costs, int window,
+                             bool random_offer)
+    : encoder_(graph, costs, window),
+      random_offer_(random_offer),
+      offers_(kOfferSalt) {}
+
+void DecisionPoint::reset(std::uint64_t seed) {
+  offers_ = util::Rng(seed ^ kOfferSalt);
+  declined_.clear();
+  instant_ = -1.0;
+}
+
+const Observation* DecisionPoint::next(const sim::EngineView& view) {
+  if (view.now() != instant_) {
+    declined_.clear();  // a new instant re-opens parked resources
+    instant_ = view.now();
+  }
+  if (view.ready().empty()) return nullptr;
+  std::vector<sim::ResourceId> cands = view.idle_resources();
+  std::erase_if(cands,
+                [this](sim::ResourceId r) { return declined_.contains(r); });
+  if (cands.empty()) return nullptr;
+  const sim::ResourceId current =
+      random_offer_ ? cands[offers_.uniform_index(cands.size())]
+                    : cands.front();
+  const bool allow_idle = view.any_running() || cands.size() > 1;
+  return &encoder_.encode(view, current, allow_idle);
+}
+
+void DecisionPoint::decline() {
+  declined_.insert(encoder_.observation().current_resource);
+}
+
 SchedulingEnv::SchedulingEnv(const dag::TaskGraph& graph,
                              const sim::Platform& platform,
                              const sim::CostModel& costs, Config config)
     : engine_(graph, platform, costs, config.faults, config.sigma,
               config.seed),
-      encoder_(graph, costs, config.window),
+      decision_(graph, costs, config.window, config.random_offer),
       config_(config),
-      action_rng_(config.seed ^ 0xD1B54A32D192ED03ULL),
       heft_ref_(sched::heft_expected_makespan(graph, platform, costs)) {
   reset(config.seed);
 }
@@ -24,38 +64,17 @@ const Observation& SchedulingEnv::reset(std::optional<std::uint64_t> seed) {
   if (obs::Telemetry* t = obs::telemetry()) t->env_resets.add();
   const std::uint64_t s = seed.value_or(config_.seed);
   engine_.reset(s);
-  action_rng_ = util::Rng(s ^ 0xD1B54A32D192ED03ULL);
-  declined_.clear();
+  decision_.reset(s);
   decisions_ = 0;
   advance_to_decision();
   return observation();
 }
 
-std::vector<sim::ResourceId> SchedulingEnv::candidates() const {
-  std::vector<sim::ResourceId> out;
-  for (sim::ResourceId r : engine_.idle_resources()) {
-    if (!declined_.contains(r)) out.push_back(r);
-  }
-  return out;
-}
-
 void SchedulingEnv::advance_to_decision() {
-  for (;;) {
-    if (engine_.finished()) return;
-    if (!engine_.ready().empty()) {
-      const auto cands = candidates();
-      if (!cands.empty()) {
-        const sim::ResourceId current =
-            config_.random_offer
-                ? cands[action_rng_.uniform_index(cands.size())]
-                : cands.front();
-        // ∅ is legal unless declining would deadlock: nothing running and
-        // this is the last idle resource that could take the work.
-        const bool allow_idle = engine_.any_running() || cands.size() > 1;
-        obs::Span encode_span("rl/state_encode", "train");
-        encoder_.encode(engine_, current, allow_idle);
-        return;
-      }
+  while (!engine_.finished()) {
+    {
+      obs::Span encode_span("rl/state_encode", "train");
+      if (decision_.next(engine_) != nullptr) return;
     }
     if (engine_.fault_enabled() && !engine_.any_running() &&
         engine_.num_up() == 0 && engine_.faults().mean_downtime <= 0.0) {
@@ -70,7 +89,6 @@ void SchedulingEnv::advance_to_decision() {
       // mask was bypassed.
       throw std::logic_error("SchedulingEnv: stalled (all idle declined)");
     }
-    declined_.clear();  // a completion or topology change re-opens parking
   }
 }
 
@@ -87,7 +105,7 @@ SchedulingEnv::StepResult SchedulingEnv::step(std::size_t a) {
   }
   ++decisions_;
   if (obs.allow_idle && a == obs.idle_action()) {
-    declined_.insert(obs.current_resource);
+    decision_.decline();
   } else {
     engine_.start(obs.ready_tasks[a], obs.current_resource);
   }

@@ -9,15 +9,52 @@
 
 namespace readys::rl {
 
-/// The paper's MDP as a step-based environment.
+/// The offer protocol of the paper's MDP, shared by the training env
+/// (SchedulingEnv) and the deployed policy (ReadysScheduler), so both
+/// drive one definition of a decision instant.
 ///
-/// A decision instant occurs whenever at least one resource is idle and
-/// at least one task is ready; a "current processor" is drawn uniformly
-/// at random among the idle resources that have not declined at this
-/// instant. The action space is {ready tasks} ∪ {∅}; picking ∅ parks the
-/// current processor until the next completion event. ∅ is masked when
-/// nothing is running (it would deadlock the system). The reward is zero
-/// until the terminal state, where it is
+/// A decision instant occurs whenever at least one task is ready and at
+/// least one idle resource has not declined the current instant. That
+/// resource — the lowest-index candidate, or one drawn uniformly from the
+/// offer stream with `random_offer` — becomes the observation's current
+/// processor. ∅ is legal unless declining would deadlock: nothing is
+/// running and this is the last candidate. A declined resource stays
+/// parked until the clock moves.
+class DecisionPoint {
+ public:
+  DecisionPoint(const dag::TaskGraph& graph, const sim::CostModel& costs,
+                int window, bool random_offer);
+
+  /// Starts an episode: re-opens every resource and reseeds the offer
+  /// stream from `seed`.
+  void reset(std::uint64_t seed);
+
+  /// Encodes the next offer of the current instant, or returns nullptr
+  /// when no task is ready or every idle resource has declined. The
+  /// observation stays valid until the next call.
+  const Observation* next(const sim::EngineView& view);
+
+  /// The current processor of the last offer declines (∅).
+  void decline();
+
+  const Observation& observation() const noexcept {
+    return encoder_.observation();
+  }
+
+ private:
+  IncrementalEncoder encoder_;  ///< owns the current observation
+  bool random_offer_;
+  util::Rng offers_;  ///< current-processor draw (independent of noise)
+  std::unordered_set<sim::ResourceId> declined_;  ///< parked this instant
+  double instant_ = -1.0;  ///< the clock declined_ belongs to
+};
+
+/// The paper's MDP as a step-based environment over a DecisionPoint.
+///
+/// The current processor is offered the ready tasks and may decline
+/// with ∅ (see DecisionPoint). ∅ is masked when declining would
+/// deadlock the system. The reward is zero until the terminal state,
+/// where it is
 ///   (makespan(HEFT) − makespan) / makespan(HEFT)
 /// with makespan(HEFT) the deterministic expected-duration HEFT makespan
 /// (cached at construction).
@@ -63,7 +100,7 @@ class SchedulingEnv {
 
   /// Valid between reset() and a step() returning done.
   const Observation& observation() const noexcept {
-    return encoder_.observation();
+    return decision_.observation();
   }
 
   bool done() const noexcept { return engine_.finished(); }
@@ -79,15 +116,10 @@ class SchedulingEnv {
   /// and encodes the observation.
   void advance_to_decision();
 
-  /// Idle resources that have not declined at the current instant.
-  std::vector<sim::ResourceId> candidates() const;
-
   sim::SimEngine engine_;
-  IncrementalEncoder encoder_;  ///< owns the current observation
+  DecisionPoint decision_;
   Config config_;
-  util::Rng action_rng_;  ///< current-processor draw (independent of noise)
   double heft_ref_;
-  std::unordered_set<int> declined_;  ///< resources parked by ∅ this instant
   std::size_t decisions_ = 0;
 };
 

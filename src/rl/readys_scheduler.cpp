@@ -12,7 +12,9 @@ ReadysScheduler::ReadysScheduler(const PolicyNet& net, int window,
     : net_(&net), window_(window), opts_(opts), rng_(opts.seed) {}
 
 void ReadysScheduler::reset(const sim::EngineView& engine) {
-  encoder_.emplace(engine.graph(), engine.costs(), window_);
+  decision_.emplace(engine.graph(), engine.costs(), window_,
+                    opts_.random_offer);
+  decision_->reset(opts_.seed);
   // Rebuilt only when the net's weights actually changed since the last
   // episode (weight_version is bumped on optimizer step / deserialize),
   // so a kF32Simd snapshot tracks the live weights across
@@ -22,29 +24,12 @@ void ReadysScheduler::reset(const sim::EngineView& engine) {
     backend_version_ = net_->weight_version();
   }
   rng_ = util::Rng(opts_.seed);
-  declined_.clear();
-  last_instant_ = -1.0;
 }
 
 std::vector<sim::Assignment> ReadysScheduler::decide(
     const sim::EngineView& engine) {
-  if (engine.now() != last_instant_) {
-    declined_.clear();  // a new instant re-opens parked resources
-    last_instant_ = engine.now();
-  }
-  if (engine.ready().empty()) return {};
-
-  std::vector<sim::ResourceId> cands;
-  for (sim::ResourceId r : engine.idle_resources()) {
-    if (!declined_.contains(r)) cands.push_back(r);
-  }
-  while (!cands.empty()) {
-    const std::size_t pick =
-        opts_.random_offer ? rng_.uniform_index(cands.size()) : 0;
-    const sim::ResourceId current = cands[pick];
-    const bool allow_idle = engine.any_running() || cands.size() > 1;
-    const Observation& obs = encoder_->encode(engine, current, allow_idle);
-    backend_->forward(obs, out_);
+  while (const Observation* obs = decision_->next(engine)) {
+    backend_->forward(*obs, out_);
 
     // Greedy argmax or categorical sample over π.
     const std::vector<double>& p = out_.probs;
@@ -74,12 +59,11 @@ std::vector<sim::Assignment> ReadysScheduler::decide(
         }
       }
     }
-    if (obs.allow_idle && a == obs.idle_action()) {
-      declined_.insert(current);
-      cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(pick));
-      continue;  // offer the instant to another idle resource
+    if (obs->allow_idle && a == obs->idle_action()) {
+      decision_->decline();  // offer the instant to another idle resource
+      continue;
     }
-    return {{obs.ready_tasks[a], current}};
+    return {{obs->ready_tasks[a], obs->current_resource}};
   }
   return {};
 }

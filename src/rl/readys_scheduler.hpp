@@ -2,8 +2,8 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_set>
 
+#include "rl/env.hpp"
 #include "rl/inference.hpp"
 #include "rl/policy_net.hpp"
 #include "sched/scheduler.hpp"
@@ -15,7 +15,7 @@ namespace readys::rl {
 /// historical bit-exact behavior (f64 reference arithmetic).
 struct ReadysOptions {
   bool greedy = true;          ///< argmax instead of sampling from π
-  std::uint64_t seed = 1;      ///< rng seed (offers + sampling)
+  std::uint64_t seed = 1;      ///< seeds the sampling and offer streams
   bool random_offer = false;   ///< must match how the policy was trained
   /// Inference arithmetic: kF64Ref reproduces PolicyNet::forward
   /// bit-for-bit; kF32Simd runs the float32 SIMD fast path (argmax
@@ -25,9 +25,8 @@ struct ReadysOptions {
 
 /// Adapter running a (trained) READYS policy under the generic Simulator,
 /// so the agent can be compared, traced, and validity-checked exactly
-/// like HEFT and MCT. Implements the same decision protocol as
-/// SchedulingEnv: random current processor among non-declined idle
-/// resources, ∅ parks the processor until the next completion.
+/// like HEFT and MCT. Offers go through the same DecisionPoint as
+/// SchedulingEnv, so a greedy policy schedules identically under both.
 ///
 /// The policy is evaluated through an InferenceBackend built in reset()
 /// — per episode, so a kF32Simd weight snapshot stays fresh across
@@ -48,10 +47,8 @@ class ReadysScheduler : public sim::Scheduler {
   util::Rng rng_;
   std::unique_ptr<InferenceBackend> backend_;
   std::uint64_t backend_version_ = 0;  ///< net weight_version backend_ saw
-  std::optional<IncrementalEncoder> encoder_;  ///< built per reset()
+  std::optional<DecisionPoint> decision_;  ///< built per reset()
   InferenceOutput out_;  ///< scratch, reused per decision
-  std::unordered_set<int> declined_;
-  double last_instant_ = -1.0;
 };
 
 /// Registers (or re-registers) the trained policy in sched::registry()

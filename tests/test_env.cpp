@@ -216,7 +216,8 @@ TEST(Env, DecisionCountAtLeastTaskCount) {
 // The training env and the deployed ReadysScheduler are two drivers of
 // one MDP. A greedy policy run through each must produce the same
 // schedule: same makespan and same trace, entry for entry, over a grid
-// of sizes, windows, weights, noise, seeds and fault injection.
+// of sizes, windows, weights, noise, seeds and fault injection, with
+// deterministic and with random offers.
 
 namespace {
 
@@ -334,6 +335,7 @@ class EnvMatchesScheduler : public ::testing::TestWithParam<rc::App> {
 }  // namespace
 
 TEST_P(EnvMatchesScheduler, DeterministicOffers) { run_grid(false); }
+TEST_P(EnvMatchesScheduler, RandomOffers) { run_grid(true); }
 
 INSTANTIATE_TEST_SUITE_P(Apps, EnvMatchesScheduler,
                          ::testing::Values(rc::App::kCholesky, rc::App::kLu,
