@@ -23,6 +23,33 @@ const char* inference_backend_name(InferenceBackendKind kind) noexcept {
   return kind == InferenceBackendKind::kF32Simd ? "f32simd" : "f64ref";
 }
 
+std::size_t choose_action(std::span<const double> probs, util::Rng* rng) {
+  if (probs.empty()) {
+    throw std::invalid_argument("choose_action: empty probability row");
+  }
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    if (!std::isfinite(probs[i])) {
+      throw std::runtime_error("non-finite policy probability " +
+                               std::to_string(probs[i]) + " at action " +
+                               std::to_string(i));
+    }
+  }
+  if (rng == nullptr) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < probs.size(); ++i) {
+      if (probs[i] > probs[best]) best = i;
+    }
+    return best;
+  }
+  const double u = rng->uniform();
+  double acc = 0.0;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    acc += probs[i];
+    if (u < acc) return i;
+  }
+  return probs.size() - 1;  // numerical slack
+}
+
 namespace {
 
 std::vector<float> to_f32(const tensor::Tensor& t) {

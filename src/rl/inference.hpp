@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "rl/state_encoder.hpp"
 #include "tensor/arena.hpp"
+#include "util/rng.hpp"
 
 namespace readys::rl {
 
@@ -35,6 +37,15 @@ struct InferenceOutput {
   std::vector<double> log_probs;
   double value = 0.0;
 };
+
+/// The one action rule over a policy row π(·|s), used by training
+/// rollouts, ReadysScheduler, serve and the reload probe. A null `rng`
+/// picks greedily: the first maximum, so ties go to the lowest index.
+/// Otherwise one uniform draw selects by cumulative scan, and the last
+/// index absorbs numerical slack. Throws std::runtime_error naming the
+/// first non-finite entry before any draw, and std::invalid_argument on
+/// an empty row.
+std::size_t choose_action(std::span<const double> probs, util::Rng* rng);
 
 /// The inference-only surface extracted from PolicyNet: π(a|s), log π
 /// and V(s) for one observation (or a batch), over weights frozen at

@@ -1,6 +1,5 @@
 #include "rl/readys_scheduler.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "sched/spec.hpp"
@@ -30,35 +29,10 @@ std::vector<sim::Assignment> ReadysScheduler::decide(
     const sim::EngineView& engine) {
   while (const Observation* obs = decision_->next(engine)) {
     backend_->forward(*obs, out_);
-
-    // Greedy argmax or categorical sample over π.
-    const std::vector<double>& p = out_.probs;
-    // A NaN policy must not silently argmax to action 0: surface it so a
-    // wrapper (sched::GuardedScheduler) can fall back to a heuristic.
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      if (!std::isfinite(p[i])) {
-        throw std::runtime_error(
-            "ReadysScheduler: non-finite policy probability " +
-            std::to_string(p[i]) + " at action " + std::to_string(i));
-      }
-    }
-    std::size_t a = 0;
-    if (opts_.greedy) {
-      for (std::size_t i = 1; i < p.size(); ++i) {
-        if (p[i] > p[a]) a = i;
-      }
-    } else {
-      const double u = rng_.uniform();
-      double acc = 0.0;
-      a = p.size() - 1;
-      for (std::size_t i = 0; i < p.size(); ++i) {
-        acc += p[i];
-        if (u < acc) {
-          a = i;
-          break;
-        }
-      }
-    }
+    // A NaN policy throws here, so a wrapper (sched::GuardedScheduler)
+    // can fall back to a heuristic.
+    const std::size_t a =
+        choose_action(out_.probs, opts_.greedy ? nullptr : &rng_);
     if (obs->allow_idle && a == obs->idle_action()) {
       decision_->decline();  // offer the instant to another idle resource
       continue;

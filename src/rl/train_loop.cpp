@@ -8,19 +8,14 @@
 #include "nn/serialize.hpp"
 #include "obs/obs.hpp"
 #include "rl/checkpoint.hpp"
+#include "rl/inference.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
 namespace readys::rl {
 
 std::size_t sample_categorical(const tensor::Tensor& probs, util::Rng& rng) {
-  const double u = rng.uniform();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    acc += probs[i];
-    if (u < acc) return i;
-  }
-  return probs.size() - 1;  // numerical slack
+  return choose_action({probs.data(), probs.size()}, &rng);
 }
 
 std::uint64_t episode_seed(std::uint64_t base, int index) {
@@ -95,8 +90,9 @@ class LockstepSource {
         const auto outs = net_->forward_batched(obs);
         std::vector<std::size_t> acts(active.size());
         for (std::size_t k = 0; k < active.size(); ++k) {
+          const tensor::Tensor& p = outs[k].probs.value();
           const std::size_t a =
-              sample_categorical(outs[k].probs.value(), rngs_[active[k]]);
+              choose_action({p.data(), p.size()}, &rngs_[active[k]]);
           acts[k] = a;
           EpisodeRollout& rec = eps[base + active[k]];
           rec.observations.push_back(*obs[k]);
@@ -147,17 +143,6 @@ Learner::Learner(PolicyNet& net, const AgentConfig& cfg, const char* name,
 
 double Learner::shape_reward(double reward) const {
   return rl::shape_reward(cfg_, reward);
-}
-
-std::size_t Learner::select_action(const PolicyNet::Output& out, bool greedy,
-                                   util::Rng& rng) const {
-  const tensor::Tensor& p = out.probs.value();
-  if (!greedy) return sample_categorical(p, rng);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < p.size(); ++i) {
-    if (p[i] > p[best]) best = i;
-  }
-  return best;
 }
 
 double Learner::entropy_scale(int index) const {
@@ -349,7 +334,10 @@ std::vector<double> Learner::evaluate(SchedulingEnv& env, int episodes,
     bool done = env.done();
     while (!done) {
       const PolicyNet::Output out = net_->forward(env.observation());
-      done = env.step(select_action(out, greedy, eval_rng)).done;
+      const tensor::Tensor& p = out.probs.value();
+      done = env.step(choose_action({p.data(), p.size()},
+                                    greedy ? nullptr : &eval_rng))
+                 .done;
     }
     makespans.push_back(env.makespan());
   }

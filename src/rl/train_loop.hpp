@@ -32,10 +32,7 @@ struct EpisodeRollout {
   std::size_t decisions = 0;
 };
 
-/// Samples an index from a 1xN probability row by cumulative scan (the
-/// last index absorbs numerical slack). The one categorical sampler of
-/// the trainers: rollouts draw from per-episode streams, sampled
-/// evaluation from a per-call stream.
+/// choose_action(probs, &rng) over a 1xN tensor row.
 std::size_t sample_categorical(const tensor::Tensor& probs, util::Rng& rng);
 
 /// Seed of episode `index`'s action stream under base `base`: the 64-bit
@@ -103,10 +100,6 @@ class Learner {
   /// seed_base) and never of the training history.
   std::vector<double> evaluate(SchedulingEnv& env, int episodes,
                                std::uint64_t seed_base, bool greedy);
-
-  /// Argmax (first maximum) when `greedy`, else sample_categorical.
-  std::size_t select_action(const PolicyNet::Output& out, bool greedy,
-                            util::Rng& rng) const;
 
   /// Applies the configured squash/clip to a terminal reward.
   double shape_reward(double reward) const;

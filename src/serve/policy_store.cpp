@@ -21,14 +21,6 @@ namespace {
 
 constexpr const char* kV1Magic = "readys-checkpoint v1";
 
-std::size_t argmax(const std::vector<double>& p) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < p.size(); ++i) {
-    if (p[i] > p[best]) best = i;
-  }
-  return best;
-}
-
 }  // namespace
 
 const char* reload_status_name(ReloadStatus s) {
@@ -127,12 +119,12 @@ std::string PolicyStore::validate_candidate(
                std::to_string(decisions);
       }
       for (std::size_t i = 0; i < obs.num_actions(); ++i) {
-        if (!std::isfinite(out.probs[i]) || !std::isfinite(out.log_probs[i])) {
+        if (!std::isfinite(out.log_probs[i])) {
           return "non-finite policy probability on probe decision " +
                  std::to_string(decisions);
         }
       }
-      done = env.step(argmax(out.probs)).done;
+      done = env.step(rl::choose_action(out.probs, nullptr)).done;
     }
     const double makespan = env.makespan();
     const double bound = cfg_.max_makespan_factor * golden_mct_makespan_;

@@ -11,32 +11,6 @@
 
 namespace readys::serve {
 
-namespace {
-
-/// Greedy argmax over a probability row (ties to the lowest index, the
-/// same rule as ReadysScheduler's greedy mode).
-std::size_t argmax(const std::vector<double>& p) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < p.size(); ++i) {
-    if (p[i] > p[best]) best = i;
-  }
-  return best;
-}
-
-/// Cumulative-scan categorical draw with the numerical-slack fallback of
-/// rl::sample_categorical, over a plain row.
-std::size_t sample(const std::vector<double>& p, util::Rng& rng) {
-  const double u = rng.uniform();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    acc += p[i];
-    if (u < acc) return i;
-  }
-  return p.empty() ? 0 : p.size() - 1;
-}
-
-}  // namespace
-
 DecisionService::DecisionService(const rl::PolicyNet& net,
                                  const rl::AgentConfig& agent,
                                  ServiceConfig cfg)
@@ -416,21 +390,10 @@ std::size_t DecisionService::run_round(
         continue;
       }
 
-      // The service's view of the policy output: a plain row it can vet
-      // before anything touches the env.
-      const std::vector<double>& pt = outs[i].probs;
-      const std::size_t n = obs[i]->num_actions();
-      std::vector<double> p(n);
-      bool finite = true;
-      const bool poisoned = s->poison_at(r.decisions);
-      for (std::size_t j = 0; j < n; ++j) {
-        p[j] = poisoned ? std::numeric_limits<double>::quiet_NaN() : pt[j];
-        if (!std::isfinite(p[j])) finite = false;
-      }
-      if (!finite) {
-        retire(std::move(s), SessionState::kQuarantined,
-               "non-finite policy probability");
-        continue;
+      std::vector<double>& p = outs[i].probs;
+      if (s->poison_at(r.decisions)) {
+        std::fill(p.begin(), p.end(),
+                  std::numeric_limits<double>::quiet_NaN());
       }
 
       // Budget resolution: spec < 0 opts out; spec > 0 overrides; spec
@@ -441,15 +404,28 @@ std::size_t DecisionService::run_round(
       const double budget = spec_deadline < 0.0   ? -1.0
                             : spec_deadline > 0.0 ? spec_deadline
                                                   : cfg_.deadline_us;
-      if (budget == 0.0 || (budget > 0.0 && elapsed_us > budget)) {
+      timed_out = budget == 0.0 || (budget > 0.0 && elapsed_us > budget);
+
+      // The action rule vets the row before anything touches the env,
+      // also when the deadline degrades the decision (greedy then, so
+      // the session's sampling stream draws only for actions it takes).
+      std::size_t policy_action = 0;
+      try {
+        policy_action = rl::choose_action(
+            p, cfg_.greedy || timed_out ? nullptr : &s->action_rng());
+      } catch (const std::runtime_error&) {
+        retire(std::move(s), SessionState::kQuarantined,
+               "non-finite policy probability");
+        continue;
+      }
+      if (timed_out) {
         // Deadline blown (or was never there to begin with): degrade
         // this decision to a one-shot MCT answer instead of stalling the
         // round behind a slow policy.
         action = s->mct_action();
-        timed_out = true;
         fellback = true;
       } else {
-        action = cfg_.greedy ? argmax(p) : sample(p, s->action_rng());
+        action = policy_action;
       }
     }
 

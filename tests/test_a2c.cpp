@@ -27,34 +27,6 @@ rr::AgentConfig tiny_config() {
 
 }  // namespace
 
-TEST(A2C, SelectActionGreedyPicksArgmax) {
-  rr::AgentConfig cfg = tiny_config();
-  const auto graph = rd::cholesky_graph(2);
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
-  rr::A2CTrainer trainer(net, cfg);
-  rr::PolicyNet::Output out;
-  out.probs = readys::tensor::Var(
-      readys::tensor::Tensor::from_rows({{0.1, 0.7, 0.2}}));
-  readys::util::Rng rng(1);
-  EXPECT_EQ(trainer.select_action(out, true, rng), 1u);
-}
-
-TEST(A2C, SelectActionSamplingMatchesDistribution) {
-  rr::AgentConfig cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
-  rr::A2CTrainer trainer(net, cfg);
-  rr::PolicyNet::Output out;
-  out.probs = readys::tensor::Var(
-      readys::tensor::Tensor::from_rows({{0.25, 0.75}}));
-  readys::util::Rng rng(2);
-  int count1 = 0;
-  const int n = 4000;
-  for (int i = 0; i < n; ++i) {
-    if (trainer.select_action(out, false, rng) == 1u) ++count1;
-  }
-  EXPECT_NEAR(static_cast<double>(count1) / n, 0.75, 0.03);
-}
-
 TEST(A2C, TrainingRunsAndReportsEveryEpisode) {
   const auto graph = rd::cholesky_graph(3);
   const auto platform = rs::Platform::hybrid(1, 1);
@@ -131,6 +103,25 @@ TEST(A2C, SampledEvaluateIsIndependentOfTrainingHistory) {
   rr::PolicyNet ppo_net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::PpoTrainer ppo(ppo_net, cfg, {.rollout_episodes = 2, .epochs = 1});
   check(ppo);
+}
+
+TEST(Learner, TrainRejectsNonFinitePolicy) {
+  // A NaN policy row must stop a rollout loudly instead of silently
+  // taking the last action and leaving the divergence guard to notice.
+  const auto graph = rd::cholesky_graph(3);
+  const auto platform = rs::Platform::hybrid(1, 1);
+  const auto costs = rs::CostModel::cholesky();
+  auto cfg = tiny_config();
+  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  for (auto& p : net.parameters()) {
+    readys::tensor::Tensor& t = p.mutable_value();
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      t[i] = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  rr::A2CTrainer trainer(net, cfg);
+  rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
+  EXPECT_THROW(trainer.train(envs, {.episodes = 1}), std::runtime_error);
 }
 
 TEST(A2C, RewardSquashIsMonotoneAndBounded) {

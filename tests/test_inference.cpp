@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/register.hpp"
@@ -239,6 +241,49 @@ TEST(SparseAdj, CsrMatchesDenseBitForBitWithAscendingColumns) {
       if (dense[i] != 0.0) ++dense_nnz;
     }
     EXPECT_EQ(nnz, dense_nnz);
+  }
+}
+
+// --- choose_action ----------------------------------------------------------
+
+TEST(ChooseAction, GreedyPicksArgmax) {
+  const std::vector<double> p{0.1, 0.7, 0.2};
+  EXPECT_EQ(rr::choose_action(p, nullptr), 1u);
+}
+
+TEST(ChooseAction, GreedyTieGoesToLowestIndex) {
+  EXPECT_EQ(rr::choose_action(std::vector<double>{0.1, 0.45, 0.45}, nullptr),
+            1u);
+  EXPECT_EQ(rr::choose_action(std::vector<double>{0.5, 0.5}, nullptr), 0u);
+}
+
+TEST(ChooseAction, SamplingMatchesDistribution) {
+  const std::vector<double> p{0.25, 0.75};
+  readys::util::Rng rng(2);
+  int count1 = 0;
+  const int n = 4000;
+  for (int i = 0; i < n; ++i) {
+    if (rr::choose_action(p, &rng) == 1u) ++count1;
+  }
+  EXPECT_NEAR(static_cast<double>(count1) / n, 0.75, 0.03);
+}
+
+TEST(ChooseAction, NonFiniteEntryThrowsNamingIndexBeforeAnyDraw) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> p{0.5, 0.0, bad};
+    readys::util::Rng rng(3);
+    const readys::util::Rng::State before = rng.state();
+    try {
+      rr::choose_action(p, &rng);
+      FAIL() << "expected runtime_error for " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("at action 2"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(rng.state(), before);  // nothing drawn
+    EXPECT_THROW(rr::choose_action(p, nullptr), std::runtime_error);
   }
 }
 
