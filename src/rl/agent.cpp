@@ -1,6 +1,7 @@
 #include "rl/agent.hpp"
 
 #include "nn/serialize.hpp"
+#include "rl/readys_scheduler.hpp"
 
 namespace readys::rl {
 
@@ -27,9 +28,8 @@ std::vector<double> ReadysAgent::evaluate(const dag::TaskGraph& graph,
                                           double sigma, int episodes,
                                           std::uint64_t seed_base,
                                           bool greedy) {
-  SchedulingEnv env(graph, platform, costs,
-                    {sigma, config_.window, seed_base});
-  return trainer_->evaluate(env, episodes, seed_base, greedy);
+  return evaluate_policy(*net_, config_.window, graph, platform, costs, sigma,
+                         episodes, seed_base, greedy);
 }
 
 void ReadysAgent::save(const std::string& path) const {

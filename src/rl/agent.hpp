@@ -27,8 +27,8 @@ class ReadysAgent {
   TrainReport train(const dag::TaskGraph& graph, const sim::Platform& platform,
                     const sim::CostModel& costs, const TrainOptions& opts);
 
-  /// Mean makespan of the current policy over `episodes` evaluation
-  /// seeds.
+  /// Makespans of the current policy over `episodes` evaluation seeds
+  /// (rl::evaluate_policy).
   std::vector<double> evaluate(const dag::TaskGraph& graph,
                                const sim::Platform& platform,
                                const sim::CostModel& costs, double sigma,

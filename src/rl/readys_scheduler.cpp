@@ -42,6 +42,22 @@ std::vector<sim::Assignment> ReadysScheduler::decide(
   return {};
 }
 
+std::vector<double> evaluate_policy(const PolicyNet& net, int window,
+                                    const dag::TaskGraph& graph,
+                                    const sim::Platform& platform,
+                                    const sim::CostModel& costs, double sigma,
+                                    int episodes, std::uint64_t seed_base,
+                                    bool greedy) {
+  std::vector<double> makespans;
+  for (int i = 0; i < episodes; ++i) {
+    const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(i);
+    ReadysScheduler policy(net, window, {.greedy = greedy, .seed = seed});
+    makespans.push_back(
+        sim::simulate_makespan(graph, platform, costs, policy, sigma, seed));
+  }
+  return makespans;
+}
+
 namespace {
 
 ReadysOptions parse_readys_options(const sched::SpecOptions& spec,

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "rl/env.hpp"
 #include "rl/inference.hpp"
@@ -50,6 +51,17 @@ class ReadysScheduler : public sim::Scheduler {
   std::optional<DecisionPoint> decision_;  ///< built per reset()
   InferenceOutput out_;  ///< scratch, reused per decision
 };
+
+/// The one evaluation path of a policy: makespans of `episodes` runs
+/// under sim::Simulator, run i scheduled by ReadysScheduler{greedy,
+/// seed_base + i} at noise seed seed_base + i. A pure function of
+/// (weights, seed_base), whatever trained the net before.
+std::vector<double> evaluate_policy(const PolicyNet& net, int window,
+                                    const dag::TaskGraph& graph,
+                                    const sim::Platform& platform,
+                                    const sim::CostModel& costs, double sigma,
+                                    int episodes, std::uint64_t seed_base,
+                                    bool greedy);
 
 /// Registers (or re-registers) the trained policy in sched::registry()
 /// under the name "readys", so bench/CLI code can construct it like any

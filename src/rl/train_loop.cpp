@@ -321,27 +321,4 @@ TrainReport Learner::train(VecEnv& envs, const TrainOptions& opts) {
   return report;
 }
 
-std::vector<double> Learner::evaluate(SchedulingEnv& env, int episodes,
-                                      std::uint64_t seed_base, bool greedy) {
-  // Drawing from the shared training stream would make a sampled
-  // evaluation depend on how many actions training consumed before it.
-  util::Rng eval_rng(seed_base ^ 0xE7037ED1A0B428DBULL);
-  tensor::NoGradGuard no_grad;
-  std::vector<double> makespans;
-  makespans.reserve(static_cast<std::size_t>(episodes));
-  for (int ep = 0; ep < episodes; ++ep) {
-    env.reset(seed_base + static_cast<std::uint64_t>(ep));
-    bool done = env.done();
-    while (!done) {
-      const PolicyNet::Output out = net_->forward(env.observation());
-      const tensor::Tensor& p = out.probs.value();
-      done = env.step(choose_action({p.data(), p.size()},
-                                    greedy ? nullptr : &eval_rng))
-                 .done;
-    }
-    makespans.push_back(env.makespan());
-  }
-  return makespans;
-}
-
 }  // namespace readys::rl

@@ -94,13 +94,6 @@ class Learner {
   /// Trains in place for opts.episodes episodes on `envs` (any width).
   TrainReport train(VecEnv& envs, const TrainOptions& opts);
 
-  /// Rolls out the current policy without learning; returns makespans.
-  /// `greedy` picks argmax actions, otherwise samples from π with a
-  /// per-call stream, so the result is a pure function of (weights,
-  /// seed_base) and never of the training history.
-  std::vector<double> evaluate(SchedulingEnv& env, int episodes,
-                               std::uint64_t seed_base, bool greedy);
-
   /// Applies the configured squash/clip to a terminal reward.
   double shape_reward(double reward) const;
 

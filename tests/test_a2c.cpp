@@ -6,6 +6,7 @@
 #include "dag/cholesky.hpp"
 #include "rl/a2c.hpp"
 #include "rl/ppo.hpp"
+#include "rl/readys_scheduler.hpp"
 #include "util/stats.hpp"
 
 namespace rd = readys::dag;
@@ -70,10 +71,10 @@ TEST(A2C, EvaluateIsGreedyDeterministic) {
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
-  rr::A2CTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  const auto a = trainer.evaluate(env, 3, 42, /*greedy=*/true);
-  const auto b = trainer.evaluate(env, 3, 42, /*greedy=*/true);
+  const auto a = rr::evaluate_policy(net, cfg.window, graph, platform, costs,
+                                     0.0, 3, 42, /*greedy=*/true);
+  const auto b = rr::evaluate_policy(net, cfg.window, graph, platform, costs,
+                                     0.0, 3, 42, /*greedy=*/true);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), 3u);
 }
@@ -90,19 +91,21 @@ TEST(A2C, SampledEvaluateIsIndependentOfTrainingHistory) {
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
   cfg.lr = 0.0;
-  const auto check = [&](rr::Learner& trainer) {
+  const auto check = [&](rr::Learner& trainer, const rr::PolicyNet& net) {
     rr::VecEnv envs(graph, platform, costs, {0.1, cfg.window, 1}, 1);
-    const auto before = trainer.evaluate(envs.env(0), 4, 77, false);
+    const auto before = rr::evaluate_policy(net, cfg.window, graph, platform,
+                                            costs, 0.1, 4, 77, false);
     trainer.train(envs, {.episodes = 5});
-    const auto after = trainer.evaluate(envs.env(0), 4, 77, false);
+    const auto after = rr::evaluate_policy(net, cfg.window, graph, platform,
+                                           costs, 0.1, 4, 77, false);
     EXPECT_EQ(before, after);
   };
   rr::PolicyNet a2c_net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::A2CTrainer a2c(a2c_net, cfg);
-  check(a2c);
+  check(a2c, a2c_net);
   rr::PolicyNet ppo_net(rr::StateEncoder::node_feature_width(4), 8, cfg);
   rr::PpoTrainer ppo(ppo_net, cfg, {.rollout_episodes = 2, .epochs = 1});
-  check(ppo);
+  check(ppo, ppo_net);
 }
 
 TEST(Learner, TrainRejectsNonFinitePolicy) {
@@ -182,7 +185,8 @@ TEST(A2C, LearnsTinyInstanceToHeftLevel) {
   rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
   rr::SchedulingEnv& env = envs.env(0);
   trainer.train(envs, {.episodes = 250});
-  const auto makespans = trainer.evaluate(env, 5, 1000, true);
+  const auto makespans = rr::evaluate_policy(net, cfg.window, graph, platform,
+                                             costs, 0.0, 5, 1000, true);
   const double mean = readys::util::mean(makespans);
   EXPECT_LE(mean, env.heft_reference() * 1.05);
 }

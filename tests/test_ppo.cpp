@@ -2,6 +2,7 @@
 
 #include "dag/cholesky.hpp"
 #include "rl/ppo.hpp"
+#include "rl/readys_scheduler.hpp"
 #include "util/stats.hpp"
 
 namespace rd = readys::dag;
@@ -61,10 +62,10 @@ TEST(Ppo, EvaluateGreedyIsDeterministic) {
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
   rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
-  rr::PpoTrainer trainer(net, cfg);
-  rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
-  const auto a = trainer.evaluate(env, 3, 7, true);
-  const auto b = trainer.evaluate(env, 3, 7, true);
+  const auto a = rr::evaluate_policy(net, cfg.window, graph, platform, costs,
+                                     0.0, 3, 7, true);
+  const auto b = rr::evaluate_policy(net, cfg.window, graph, platform, costs,
+                                     0.0, 3, 7, true);
   EXPECT_EQ(a, b);
 }
 
@@ -81,7 +82,8 @@ TEST(Ppo, LearnsTinyInstance) {
   rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 1);
   rr::SchedulingEnv& env = envs.env(0);
   trainer.train(envs, {.episodes = 250});
-  const auto makespans = trainer.evaluate(env, 5, 1000, true);
+  const auto makespans = rr::evaluate_policy(net, cfg.window, graph, platform,
+                                             costs, 0.0, 5, 1000, true);
   EXPECT_LE(readys::util::mean(makespans), env.heft_reference() * 1.05);
 }
 
