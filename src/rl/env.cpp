@@ -5,6 +5,7 @@
 
 #include "obs/telemetry.hpp"
 #include "sched/heft.hpp"
+#include "sim/simulator.hpp"
 
 namespace readys::rl {
 
@@ -76,19 +77,7 @@ void SchedulingEnv::advance_to_decision() {
       obs::Span encode_span("rl/state_encode", "train");
       if (decision_.next(engine_) != nullptr) return;
     }
-    if (engine_.fault_enabled() && !engine_.any_running() &&
-        engine_.num_up() == 0 && engine_.faults().mean_downtime <= 0.0) {
-      // Fault events may keep firing (slowdown edges), but no resource
-      // can ever come back: fail loudly instead of spinning.
-      throw std::logic_error(
-          "SchedulingEnv: platform unrecoverable (every resource "
-          "permanently down, tasks remain)");
-    }
-    if (!engine_.advance()) {
-      // Nothing running and no assignable work: impossible unless the ∅
-      // mask was bypassed.
-      throw std::logic_error("SchedulingEnv: stalled (all idle declined)");
-    }
+    sim::advance_or_throw(engine_);
   }
 }
 

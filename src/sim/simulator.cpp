@@ -13,6 +13,21 @@ Simulator::Simulator(const dag::TaskGraph& graph, const Platform& platform,
       costs_(costs),
       options_(options) {}
 
+void advance_or_throw(SimEngine& engine) {
+  if (engine.fault_enabled() && !engine.any_running() &&
+      engine.num_up() == 0 && engine.faults().mean_downtime <= 0.0) {
+    // Fault events may keep firing (slowdown edges), but no resource can
+    // ever come back: fail loudly instead of spinning.
+    throw std::logic_error(
+        "platform unrecoverable (every resource permanently down, tasks "
+        "remain)");
+  }
+  if (!engine.advance()) {
+    throw std::logic_error(
+        "scheduling stalled (no task running, none assigned, tasks remain)");
+  }
+}
+
 SimResult Simulator::run(Scheduler& scheduler) {
   obs::Span span("sim/episode", "sim");
   const CommModel comm =
@@ -36,18 +51,7 @@ SimResult Simulator::run(Scheduler& scheduler) {
       }
     }
     if (engine.finished()) break;
-    if (engine.fault_enabled() && !engine.any_running() &&
-        engine.num_up() == 0 && engine.faults().mean_downtime <= 0.0) {
-      // Fault events may keep firing (slowdown edges), but no resource
-      // can ever come back: fail loudly instead of spinning.
-      throw std::logic_error(
-          "Simulator: platform unrecoverable (every resource permanently "
-          "down, tasks remain)");
-    }
-    if (!engine.advance()) {
-      throw std::logic_error("Simulator: scheduler stalled (no task running, "
-                             "none assigned, tasks remain)");
-    }
+    advance_or_throw(engine);
   }
   result.makespan = engine.makespan();
   result.trace = engine.trace();

@@ -80,6 +80,14 @@ class Simulator {
   Options options_;
 };
 
+/// Advances `engine` to its next event between decision instants, the
+/// one stall check of every driver (Simulator::run, rl::SchedulingEnv).
+/// Throws std::logic_error when the platform is unrecoverable (every
+/// resource permanently down while tasks remain) or when nothing can
+/// advance: no task running and none assigned, which the ∅ mask of the
+/// paper's MDP rules out.
+void advance_or_throw(SimEngine& engine);
+
 /// Convenience: build, run, and return the makespan in one call.
 double simulate_makespan(const dag::TaskGraph& graph, const Platform& platform,
                          const CostModel& costs, Scheduler& scheduler,
