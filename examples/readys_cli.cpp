@@ -571,9 +571,9 @@ int cmd_cluster_bench(int argc, char** argv) {
   rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
                     rl::StateEncoder::kResourceFeatureWidth, cfg.agent);
   rl::ReadysOptions readys_defaults;
+  readys_defaults.random_offer = cfg.random_offer;
   readys_defaults.backend = rl::parse_inference_backend(cfg.inference_backend);
-  rl::register_readys_scheduler(net, cfg.agent.window, cfg.random_offer,
-                                readys_defaults);
+  rl::register_readys_scheduler(net, cfg.agent.window, readys_defaults);
 
   // A bare inner spec gets wrapped into the decentralized family from
   // the cluster_* knobs; a spec already naming shard(...) is kept as is

@@ -76,8 +76,7 @@ ReadysOptions parse_readys_options(const sched::SpecOptions& spec,
 }  // namespace
 
 void register_readys_scheduler(const PolicyNet& net, int window,
-                               bool random_offer, ReadysOptions defaults) {
-  defaults.random_offer = random_offer;
+                               ReadysOptions defaults) {
   sched::registry().add_spec(
       "readys",
       [defaults](const sched::SpecOptions& spec) {

@@ -73,7 +73,6 @@ std::vector<double> evaluate_policy(const PolicyNet& net, int window,
 /// The net must outlive every scheduler the registry hands out. Lives
 /// here — not in sched — because sched cannot depend on rl.
 void register_readys_scheduler(const PolicyNet& net, int window,
-                               bool random_offer = false,
                                ReadysOptions defaults = {});
 
 }  // namespace readys::rl

@@ -565,8 +565,7 @@ TEST(ReadysSpec, DefaultsThreadThroughPlainName) {
   const auto net = make_net(16, 22);
   rr::ReadysOptions defaults;
   defaults.backend = rr::InferenceBackendKind::kF32Simd;
-  rr::register_readys_scheduler(net, /*window=*/1, /*random_offer=*/false,
-                                defaults);
+  rr::register_readys_scheduler(net, /*window=*/1, defaults);
   // Plain "readys" now runs the f32 backend; it must still schedule.
   auto s = rx::make_scheduler("readys", {.seed = 1});
   const auto graph = rd::cholesky_graph(3);
