@@ -55,9 +55,9 @@ Var unary_elementwise(const Var& a, Fwd fwd, Bwd dydx) {
   return Var::make_op(std::move(out), {a}, [pa, dydx](Node& self) {
     if (!pa->requires_grad) return;
     Tensor& pg = pa->ensure_grad();
-    const Tensor& x = pa->value;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      pg[i] += self.grad[i] * dydx(x[i], self.value[i]);
+    const Tensor& input = pa->value;
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      pg[i] += self.grad[i] * dydx(input[i], self.value[i]);
     }
   });
 }
