@@ -24,9 +24,6 @@ const char* inference_backend_name(InferenceBackendKind kind) noexcept {
 }
 
 std::size_t choose_action(std::span<const double> probs, util::Rng* rng) {
-  if (probs.empty()) {
-    throw std::invalid_argument("choose_action: empty probability row");
-  }
   for (std::size_t i = 0; i < probs.size(); ++i) {
     if (!std::isfinite(probs[i])) {
       throw std::runtime_error("non-finite policy probability " +

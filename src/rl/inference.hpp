@@ -43,8 +43,7 @@ struct InferenceOutput {
 /// picks greedily: the first maximum, so ties go to the lowest index.
 /// Otherwise one uniform draw selects by cumulative scan, and the last
 /// index absorbs numerical slack. Throws std::runtime_error naming the
-/// first non-finite entry before any draw, and std::invalid_argument on
-/// an empty row.
+/// first non-finite entry before any draw. `probs` must not be empty.
 std::size_t choose_action(std::span<const double> probs, util::Rng* rng);
 
 /// The inference-only surface extracted from PolicyNet: π(a|s), log π

@@ -409,9 +409,8 @@ std::size_t DecisionService::run_round(
       // The action rule vets the row before anything touches the env,
       // also when the deadline degrades the decision (greedy then, so
       // the session's sampling stream draws only for actions it takes).
-      std::size_t policy_action = 0;
       try {
-        policy_action = rl::choose_action(
+        action = rl::choose_action(
             p, cfg_.greedy || timed_out ? nullptr : &s->action_rng());
       } catch (const std::runtime_error&) {
         retire(std::move(s), SessionState::kQuarantined,
@@ -424,8 +423,6 @@ std::size_t DecisionService::run_round(
         // round behind a slow policy.
         action = s->mct_action();
         fellback = true;
-      } else {
-        action = policy_action;
       }
     }
 
