@@ -45,7 +45,12 @@ RunManifest::RunManifest(std::string tool)
     : tool_(std::move(tool)), start_(std::chrono::system_clock::now()) {}
 
 void RunManifest::set(const std::string& key, const std::string& value) {
-  config_.emplace_back(key, "\"" + json_escape(value) + "\"");
+  // Quoted in place: "\"" + json_escape(...) trips GCC 12's -Wrestrict
+  // false positive inside libstdc++.
+  std::string quoted = json_escape(value);
+  quoted.insert(quoted.begin(), '"');
+  quoted.push_back('"');
+  config_.emplace_back(key, std::move(quoted));
 }
 
 void RunManifest::set(const std::string& key, const char* value) {

@@ -94,7 +94,14 @@ JsonObject& JsonObject::raw(const std::string& k, const std::string& raw_json) {
   return *this;
 }
 
-std::string JsonObject::str() const { return "{" + os_.str() + "}"; }
+std::string JsonObject::str() const {
+  // Built in place: "{" + os_.str() trips GCC 12's -Wrestrict false
+  // positive inside libstdc++.
+  std::string out = os_.str();
+  out.insert(out.begin(), '{');
+  out.push_back('}');
+  return out;
+}
 
 JsonlSink::JsonlSink(std::string path, int flush_every)
     : path_(std::move(path)),

@@ -49,8 +49,8 @@ std::size_t choose_action(std::span<const double> probs, util::Rng* rng) {
 
 namespace {
 
-std::vector<float> to_f32(const tensor::Tensor& t) {
-  std::vector<float> out(t.size());
+WeightArray to_f32(const tensor::Tensor& t) {
+  WeightArray out(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
     out[i] = static_cast<float>(t[i]);
   }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,21 +78,48 @@ class InferenceBackend {
 /// later optimizer step on the source net does not affect backends
 /// already built (re-snapshot by constructing a new backend — see
 /// ReadysScheduler::reset, which does this per episode).
+/// Allocator of cache-line-aligned storage. The f32 kernels' 256-bit
+/// loads of a weight row then never straddle two cache lines, however the
+/// heap happened to be laid out when the snapshot was taken.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, kAlign);
+  }
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) noexcept {
+    return true;
+  }
+};
+
+/// A frozen float32 weight array.
+using WeightArray = std::vector<float, CacheLineAllocator<float>>;
+
 struct InferenceWeights {
   int node_features = 0;
   int resource_features = 0;
   int hidden = 0;
   bool critic_sees_resources = false;
   std::vector<std::size_t> gcn_in;         ///< input width per GCN layer
-  std::vector<std::vector<float>> gcn_w;   ///< per layer, gcn_in[l] x hidden
-  std::vector<std::vector<float>> gcn_b;   ///< per layer, 1 x hidden
-  std::vector<float> actor_w;              ///< hidden x 1, flattened
+  std::vector<WeightArray> gcn_w;          ///< per layer, gcn_in[l] x hidden
+  std::vector<WeightArray> gcn_b;          ///< per layer, 1 x hidden
+  WeightArray actor_w;                     ///< hidden x 1, flattened
   float actor_b = 0.0f;
-  std::vector<float> res_w;                ///< resource_features x hidden
-  std::vector<float> res_b;                ///< 1 x hidden
-  std::vector<float> idle_w;               ///< 2*hidden x 1
+  WeightArray res_w;                       ///< resource_features x hidden
+  WeightArray res_b;                       ///< 1 x hidden
+  WeightArray idle_w;                      ///< 2*hidden x 1
   float idle_b = 0.0f;
-  std::vector<float> value_w;              ///< (2*)hidden x 1
+  WeightArray value_w;                     ///< (2*)hidden x 1
   float value_b = 0.0f;
 
   /// Rounds every parameter of `net` to float. Throws

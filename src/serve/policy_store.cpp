@@ -1,18 +1,17 @@
 #include "serve/policy_store.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "nn/serialize.hpp"
 #include "obs/obs.hpp"
 #include "rl/checkpoint.hpp"
 #include "rl/env.hpp"
 #include "sched/mct.hpp"
 #include "sim/simulator.hpp"
-#include "util/crc32.hpp"
 #include "util/logging.hpp"
 
 namespace readys::serve {
@@ -20,6 +19,24 @@ namespace readys::serve {
 namespace {
 
 constexpr const char* kV1Magic = "readys-checkpoint v1";
+
+/// True when both nets hold the same parameters bit for bit: names,
+/// shapes and the bits of every value, so NaN payloads and the sign of
+/// zero count.
+bool identical_weights(const rl::PolicyNet& a, const rl::PolicyNet& b) {
+  const auto pa = a.named_parameters();
+  const auto pb = b.named_parameters();
+  if (pa.size() != pb.size()) return false;
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    const tensor::Tensor& x = pa[i].second.value();
+    const tensor::Tensor& y = pb[i].second.value();
+    if (pa[i].first != pb[i].first || !x.same_shape(y) ||
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -62,7 +79,6 @@ PolicyStore::PolicyStore(const rl::PolicyNet& initial, rl::AgentConfig agent,
   net->copy_parameters_from(initial);
   auto snap = std::make_shared<Snapshot>();
   snap->version = 1;
-  snap->params_crc = util::crc32(nn::serialize_parameters(*net));
   snap->f32 = std::make_shared<const rl::InferenceWeights>(
       rl::InferenceWeights::snapshot(*net));
   snap->net = std::shared_ptr<const rl::PolicyNet>(std::move(net));
@@ -159,11 +175,9 @@ ReloadResult PolicyStore::reject(const std::string& reason) {
 
 ReloadResult PolicyStore::publish_or_reject(
     std::unique_ptr<rl::PolicyNet> candidate, bool force, const char* origin) {
-  const std::uint32_t crc =
-      util::crc32(nn::serialize_parameters(*candidate));
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!force && crc == current_->params_crc) {
+    if (!force && identical_weights(*candidate, *current_->net)) {
       ++counters_.noops;
       ReloadResult r;
       r.status = ReloadStatus::kNoOp;
@@ -178,7 +192,6 @@ ReloadResult PolicyStore::publish_or_reject(
     if (!why.empty()) return reject(why);
   }
   auto snap = std::make_shared<Snapshot>();
-  snap->params_crc = crc;
   snap->f32 = std::make_shared<const rl::InferenceWeights>(
       rl::InferenceWeights::snapshot(*candidate));
   snap->net = std::shared_ptr<const rl::PolicyNet>(std::move(candidate));

@@ -74,9 +74,6 @@ class PolicyStore {
     std::uint64_t version = 0;
     std::shared_ptr<const rl::PolicyNet> net;
     std::shared_ptr<const rl::InferenceWeights> f32;
-    /// CRC-32 over the serialized parameters: cheap bit-identity probe
-    /// for no-op reload detection.
-    std::uint32_t params_crc = 0;
   };
 
   struct Counters {

@@ -99,6 +99,8 @@ void SimEngine::reset(std::uint64_t seed) {
   in_ready_.assign(n, 0);
   ready_log_.clear();
   ready_log_.reserve(n);
+  freed_log_.clear();
+  freed_log_.reserve(n);
   running_.clear();
   events_.clear();
   resource_task_.assign(n_res, dag::kInvalidTask);
@@ -234,6 +236,7 @@ void SimEngine::complete(const RunningInfo& info) {
   resource_task_[static_cast<std::size_t>(info.resource)] = dag::kInvalidTask;
   resource_expected_finish_[static_cast<std::size_t>(info.resource)] =
       std::numeric_limits<double>::quiet_NaN();
+  freed_log_.push_back(info.resource);
   producer_of_[info.task] = info.resource;
   done_[info.task] = true;
   ++completed_;
@@ -301,6 +304,7 @@ void SimEngine::dispatch(const Event& ev, bool& observable) {
             dag::kInvalidTask;
         resource_expected_finish_[static_cast<std::size_t>(info.resource)] =
             std::numeric_limits<double>::quiet_NaN();
+        freed_log_.push_back(info.resource);
         insert_ready(info.task);
         ++lost_executions_;
       }

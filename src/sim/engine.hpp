@@ -103,7 +103,17 @@ class SimEngine {
     return ready_log_;
   }
 
+  /// Append-only log of the resources freed by an execution ending (a
+  /// completion, or under fault injection a failed execution), in event
+  /// order. A scheduler keeps a cursor into it, as into ready_log(), to
+  /// find the resources that became idle in O(new) instead of scanning
+  /// all P. A resource coming back from an outage is not logged.
+  const std::vector<ResourceId>& freed_log() const noexcept {
+    return freed_log_;
+  }
+
   /// Resources that are up with nothing running, in ascending id order.
+  /// Scans the whole platform: O(P).
   std::vector<ResourceId> idle_resources() const;
 
   bool is_ready(dag::TaskId t) const noexcept {
@@ -270,6 +280,7 @@ class SimEngine {
   std::vector<dag::TaskId> ready_;          // ascending id order
   std::vector<std::uint8_t> in_ready_;      // per task: O(1) membership
   std::vector<dag::TaskId> ready_log_;      // became-ready order, append-only
+  std::vector<ResourceId> freed_log_;       // freed-by-execution order
   std::vector<RunningInfo> running_;        // start order, <= platform size
   std::vector<Event> events_;               // min-heap on (time, seq)
   std::uint64_t event_seq_ = 0;             // insertion order tie-break

@@ -91,6 +91,11 @@ class EngineView {
   const std::vector<dag::TaskId>& ready_log() const noexcept {
     return engine_ ? engine_->ready_log() : *state_->ready_log;
   }
+  /// See SimEngine::freed_log. A scoped view forwards the global log, so
+  /// a scheduler on one filters it by its own resources().
+  const std::vector<ResourceId>& freed_log() const noexcept {
+    return engine_ ? engine_->freed_log() : state_->base->freed_log();
+  }
   const std::vector<RunningInfo>& running() const noexcept {
     return engine_ ? engine_->running() : *state_->running;
   }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -26,8 +27,19 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  /// Next raw 64-bit value. Inline: it is the innermost draw of every
+  /// generator loop.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double uniform() noexcept;

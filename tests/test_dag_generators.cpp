@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/apps.hpp"
 #include "dag/cholesky.hpp"
@@ -202,5 +206,84 @@ TEST(RandomDag, Deterministic) {
   for (rd::TaskId t = 0; t < a.num_tasks(); ++t) {
     EXPECT_EQ(a.kernel(t), b.kernel(t));
     EXPECT_EQ(a.successors(t), b.successors(t));
+  }
+}
+
+namespace {
+
+/// The generator as first written: one uniform() < edge_density draw per
+/// candidate edge. The integer threshold must reproduce it exactly.
+rd::TaskGraph uniform_reference_dag(const rd::RandomDagConfig& config,
+                                    readys::util::Rng& rng) {
+  std::vector<std::string> names;
+  for (int k = 0; k < config.kernel_types; ++k) {
+    names.push_back(std::string(1, 'K') + std::to_string(k));
+  }
+  rd::TaskGraph g("random_dag", std::move(names));
+  std::vector<std::vector<rd::TaskId>> layers(
+      static_cast<std::size_t>(config.layers));
+  for (auto& layer : layers) {
+    for (int i = 0; i < config.width; ++i) {
+      layer.push_back(g.add_task(static_cast<int>(rng.uniform_index(
+          static_cast<std::size_t>(config.kernel_types)))));
+    }
+  }
+  for (std::size_t l = 0; l + 1 < layers.size(); ++l) {
+    for (rd::TaskId v : layers[l + 1]) {
+      bool has_pred = false;
+      for (rd::TaskId u : layers[l]) {
+        if (rng.uniform() < config.edge_density) {
+          g.add_edge(u, v);
+          has_pred = true;
+        }
+      }
+      if (config.connect_layers && !has_pred) {
+        g.add_edge(layers[l][rng.uniform_index(layers[l].size())], v);
+      }
+    }
+  }
+  return g;
+}
+
+}  // namespace
+
+TEST(RandomDag, EdgesMatchUniformDraws) {
+  for (const double d : {0.0, 0x1.0p-9, 0.3, 0.9, 1.0}) {
+    for (const bool connect : {true, false}) {
+      rd::RandomDagConfig cfg;
+      cfg.layers = 5;
+      cfg.width = 64;
+      cfg.edge_density = d;
+      cfg.connect_layers = connect;
+      readys::util::Rng rng(11);
+      readys::util::Rng ref_rng(11);
+      const auto g = rd::random_layered_dag(cfg, rng);
+      const auto ref = uniform_reference_dag(cfg, ref_rng);
+      ASSERT_EQ(g.num_tasks(), ref.num_tasks()) << "d=" << d;
+      EXPECT_EQ(g.num_edges(), ref.num_edges()) << "d=" << d;
+      for (rd::TaskId t = 0; t < g.num_tasks(); ++t) {
+        EXPECT_EQ(g.kernel(t), ref.kernel(t)) << "d=" << d << " task " << t;
+        EXPECT_EQ(g.successors(t), ref.successors(t))
+            << "d=" << d << " task " << t;
+      }
+      // Same number of draws: both streams continue in step.
+      EXPECT_EQ(rng(), ref_rng()) << "d=" << d;
+    }
+  }
+}
+
+TEST(RandomDag, RejectsEdgeDensityOutsideUnitInterval) {
+  for (const double d : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    rd::RandomDagConfig cfg;
+    cfg.edge_density = d;
+    readys::util::Rng rng(1);
+    try {
+      (void)rd::random_layered_dag(cfg, rng);
+      ADD_FAILURE() << "edge_density " << d << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("edge_density"), std::string::npos)
+          << e.what();
+    }
   }
 }

@@ -110,6 +110,24 @@ TEST(PolicyStore, IdenticalWeightsReloadIsNoOp) {
   EXPECT_EQ(store.counters().published, 0u);
 }
 
+// No-op detection compares every weight bit for bit: a candidate one
+// ulp away in a single weight is new weights.
+TEST(PolicyStore, OneUlpApartWeightsPublish) {
+  const auto agent = small_agent();
+  const auto net = small_net(agent);
+  rv::PolicyStore store(net, agent, fast_probe());
+  auto nudged = small_net(agent);
+  nudged.copy_parameters_from(net);
+  auto first = nudged.named_parameters().front().second;
+  double& w = first.mutable_value().data()[0];
+  w = std::nextafter(w, std::numeric_limits<double>::infinity());
+  const rv::ReloadResult r = store.reload_from_net(nudged);
+  EXPECT_EQ(r.status, rv::ReloadStatus::kPublished);
+  EXPECT_EQ(r.version, 2u);
+  EXPECT_EQ(store.counters().noops, 0u);
+  EXPECT_EQ(store.counters().published, 1u);
+}
+
 TEST(PolicyStore, ForceRepublishesIdenticalWeightsAsNewVersion) {
   const auto agent = small_agent();
   const auto net = small_net(agent);

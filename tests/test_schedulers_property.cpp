@@ -7,19 +7,24 @@
 #include <limits>
 #include <memory>
 
+#include "cluster/register.hpp"
 #include "core/apps.hpp"
 #include "core/evaluation.hpp"
+#include "dag/cholesky.hpp"
 #include "dag/random_dag.hpp"
 #include "sched/critical_path.hpp"
 #include "sched/greedy_eft.hpp"
+#include "sched/guarded.hpp"
 #include "sched/heft.hpp"
 #include "sched/mct.hpp"
 #include "sched/random_sched.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 
 namespace rc = readys::core;
 namespace rd = readys::dag;
 namespace rs = readys::sim;
+namespace rx = readys::sched;
 
 namespace {
 
@@ -152,4 +157,170 @@ TEST(SchedulerProperty, EvaluationIsThreadSafe) {
   const auto parallel = rc::evaluate_makespans(g, p, c, rc::mct_factory(),
                                                0.4, 16, 7, &pool);
   EXPECT_EQ(serial, parallel);  // per-run seeding makes this exact
+}
+
+// --- MCT's tree path against its scan ------------------------------------
+//
+// Without faults and without comm pricing, MCT on a wide platform binds
+// through one tournament tree per resource type and finds idle resources
+// through the engine's freed log; "mct-comm" with no comm model always
+// scans every resource. Both must produce the same schedule bit for bit,
+// ties and rounding collisions included.
+
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t trace_hash(const rs::Trace& trace) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& e : trace.entries()) {
+    h = fnv1a(h, &e.task, sizeof(e.task));
+    h = fnv1a(h, &e.resource, sizeof(e.resource));
+    h = fnv1a(h, &e.start, sizeof(e.start));
+    h = fnv1a(h, &e.finish, sizeof(e.finish));
+  }
+  return h;
+}
+
+/// Four layers of 2P tasks (at least 4), mean in-degree about 4: ready
+/// batches scale with the platform, like the sim_wide_mct workload.
+rd::TaskGraph layered_dag(int p, std::uint64_t seed) {
+  rd::RandomDagConfig cfg;
+  cfg.layers = 4;
+  cfg.width = std::max(4, 2 * p);
+  cfg.edge_density = std::min(1.0, 4.0 / static_cast<double>(cfg.width));
+  cfg.kernel_types = 4;
+  readys::util::Rng rng(seed);
+  return rd::random_layered_dag(cfg, rng);
+}
+
+/// Durations whose queue tails differ in the last bits (0.1 + 0.2 is not
+/// 0.3) next to one that rounds those bits away: different keys then
+/// round to the same completion, where the scan keeps the lowest id.
+rs::CostModel rounding_costs() {
+  return rs::CostModel("rounding", {{0.1, 0.2}, {0.2, 0.1}, {0.3, 0.3},
+                                    {1000.0, 999.9}});
+}
+
+void expect_same_run(rs::Scheduler& a, rs::Scheduler& b,
+                     const rd::TaskGraph& g, const rs::Platform& p,
+                     const rs::CostModel& c, double sigma,
+                     std::uint64_t seed, const std::string& what) {
+  rs::Simulator sim(g, p, c, {sigma, seed});
+  const auto ra = sim.run(a);
+  const auto rb = sim.run(b);
+  ASSERT_EQ(ra.trace.validate(g, p), "") << what;
+  EXPECT_EQ(ra.makespan, rb.makespan) << what;
+  EXPECT_EQ(trace_hash(ra.trace), trace_hash(rb.trace)) << what;
+}
+
+/// Resets a scratch MCT onto the live engine at every decision, so every
+/// decision builds MCT's state from mid-episode (busy resources with
+/// expected finishes, some of them overdue).
+class OneShotEveryDecision : public rs::Scheduler {
+ public:
+  explicit OneShotEveryDecision(bool comm_aware) : mct_(comm_aware) {}
+  void reset(const rs::EngineView&) override {}
+  std::vector<rs::Assignment> decide(const rs::EngineView& view) override {
+    return rx::one_shot_mct(mct_, view);
+  }
+  std::string name() const override { return "one-shot " + mct_.name(); }
+
+ private:
+  rx::MctScheduler mct_;
+};
+
+/// CPUs and GPUs alternating, so the lowest id of a tie can sit in
+/// either type's tree.
+rs::Platform interleaved(int p) {
+  std::vector<rs::ResourceType> types;
+  for (int r = 0; r < p; ++r) {
+    types.push_back(r % 2 == 0 ? rs::ResourceType::kGpu
+                               : rs::ResourceType::kCpu);
+  }
+  return rs::Platform(types);
+}
+
+}  // namespace
+
+TEST(MctTreesMatchScan, EveryPlatformDagAndSigma) {
+  for (const int p : {1, 3, 16, 32, 256, 1024}) {
+    const std::pair<const char*, rs::Platform> platforms[] = {
+        {" hybrid", rs::Platform::hybrid(p - p / 2, p / 2)},
+        {" cpus", rs::Platform::cpus(p)},
+        {" interleaved", interleaved(p)},
+        {" one gpu", rs::Platform::hybrid(p - 1, 1)}};
+    for (const auto& [label, platform] : platforms) {
+      for (const bool layered : {true, false}) {
+        const auto g = layered ? layered_dag(p, 11 + static_cast<unsigned>(p))
+                               : rd::cholesky_graph(12);
+        for (const bool rounding : {false, true}) {
+          const auto costs =
+              rounding ? rounding_costs() : rs::CostModel::cholesky();
+          // The seed only draws noise, so sigma 0 needs one.
+          for (const auto& [sigma, seed] :
+               {std::pair{0.0, 1ull}, std::pair{0.1, 1ull},
+                std::pair{0.1, 2ull}}) {
+            auto tree = rx::make_scheduler("mct");
+            auto scan = rx::make_scheduler("mct-comm");
+            expect_same_run(*tree, *scan, g, platform, costs, sigma, seed,
+                            "P=" + std::to_string(p) + label +
+                                (layered ? " layered" : " cholesky") +
+                                (rounding ? " rounding" : "") +
+                                " sigma=" + std::to_string(sigma) +
+                                " seed=" + std::to_string(seed));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MctTreesMatchScan, ShardedInners) {
+  readys::cluster::register_cluster_scheduler();
+  for (const int p : {64, 256}) {
+    const rs::Platform platform = rs::Platform::hybrid(p / 2, p / 2);
+    for (const bool layered : {true, false}) {
+      const auto g = layered ? layered_dag(p, 5) : rd::cholesky_graph(12);
+      for (const int k : {1, 4, 16}) {
+        for (const double sigma : {0.0, 0.1}) {
+          const std::string shard =
+              "shard(shards=" + std::to_string(k) + "):";
+          auto tree = rx::make_scheduler(shard + "mct");
+          auto scan = rx::make_scheduler(shard + "mct-comm");
+          expect_same_run(*tree, *scan, g, platform,
+                          rs::CostModel::cholesky(), sigma, 3,
+                          "P=" + std::to_string(p) + " K=" + std::to_string(k) +
+                              (layered ? " layered" : " cholesky") +
+                              " sigma=" + std::to_string(sigma));
+        }
+      }
+    }
+  }
+}
+
+TEST(MctTreesMatchScan, OneShotMidEpisode) {
+  // Every decision rebinds the whole ready set, so keep the DAGs small.
+  for (const int p : {32, 256}) {
+    const rs::Platform platform = rs::Platform::hybrid(p / 2, p / 2);
+    for (const bool layered : {true, false}) {
+      const auto g = layered ? layered_dag(16, 9) : rd::cholesky_graph(8);
+      for (const double sigma : {0.0, 0.1}) {
+        OneShotEveryDecision tree(false);
+        OneShotEveryDecision scan(true);
+        expect_same_run(tree, scan, g, platform, rs::CostModel::cholesky(),
+                        sigma, 4,
+                        "P=" + std::to_string(p) +
+                            (layered ? " layered" : " cholesky") +
+                            " sigma=" + std::to_string(sigma));
+      }
+    }
+  }
 }
