@@ -132,8 +132,9 @@ std::string level_json(const Level& lv) {
 
 int main() {
   bench::BenchRun run("serve_latency");
-  core::RunConfig cfg = core::RunConfig::from_env();
-  cfg.agent.hidden = util::env_int("READYS_HIDDEN", 32);
+  core::RunConfig base;
+  base.agent.hidden = 32;
+  core::RunConfig cfg = core::RunConfig::from_env(base);
   cfg.agent.seed = cfg.seed;
 
   rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),

@@ -10,23 +10,23 @@
 //   readys_cli serve-bench [--config <run.json>] [serve flags]
 //   readys_cli cluster-bench [--config <run.json>] [cluster flags]
 //
-// train flags: [--trainer a2c|ppo] [--num-envs <n>]
-//              [--checkpoint-dir <dir>] [--checkpoint-every <n>]
-//              [--checkpoint-retain <k>] [--resume]
-//              [--metrics-out <f.jsonl>] [--trace-out <f.json>]
-//              [--manifest <f.json>]
+// The flags of train, serve-bench and cluster-bench set RunConfig fields
+// (core::for_each_field lists them); usage() prints each set.
 //
 // <app> ∈ {cholesky, lu, qr}; <scheduler> is any sched::registry() name
 // (run an unknown one to get the list). <run.json> is a "readys-run/1"
 // document (see docs/api.md).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -39,6 +39,33 @@ using namespace readys;
 
 namespace {
 
+/// Prints the RunConfig flags `cmd` accepts, then its own `local` ones,
+/// wrapped after "    <label> flags:".
+void print_flags(const char* label, core::Subcommand cmd,
+                 std::initializer_list<const char*> local) {
+  std::vector<std::string> words;
+  const core::RunConfig defaults;
+  core::for_each_field(defaults, [&](const core::Field& f, const auto& m) {
+    if (f.flag == nullptr || (f.commands & cmd) == 0) return;
+    std::string word = std::string("[") + f.flag;
+    if constexpr (!std::is_same_v<std::decay_t<decltype(m)>, bool>) {
+      word += std::string(" <") + f.key + ">";
+    }
+    words.push_back(word + "]");
+  });
+  words.insert(words.end(), local.begin(), local.end());
+  std::string line = std::string("    ") + label + " flags:";
+  const std::size_t indent = line.size();
+  for (const std::string& word : words) {
+    if (line.size() > indent && line.size() + 1 + word.size() > 78) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+      line.assign(indent, ' ');
+    }
+    line += ' ' + word;
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -46,36 +73,27 @@ int usage() {
       "  readys_cli train    <app> <tiles> <ncpu> <ngpu> <episodes> "
       "<sigma> <out.weights> [train flags]\n"
       "  readys_cli train    --config <run.json> <out.weights> [train "
-      "flags]\n"
-      "    train flags: [--trainer a2c|ppo] [--num-envs <n>]\n"
-      "                 [--checkpoint-dir <dir>] [--checkpoint-every <n>]\n"
-      "                 [--checkpoint-retain <k>] [--resume]\n"
-      "                 [--metrics-out <f.jsonl>] [--trace-out <f.json>] "
-      "[--manifest <f.json>]\n"
+      "flags]\n");
+  print_flags("train", core::kTrain,
+              {"[--metrics-out <f.jsonl>]", "[--trace-out <f.json>]",
+               "[--manifest <f.json>]"});
+  std::fprintf(
+      stderr,
       "  readys_cli evaluate <app> <tiles> <ncpu> <ngpu> <sigma> "
       "<weights> [runs]\n"
       "  readys_cli compare  <app> <tiles> <ncpu> <ngpu> <sigma> [runs]\n"
       "  readys_cli gantt    <app> <tiles> <ncpu> <ngpu> <scheduler> "
       "[sigma]\n"
       "  readys_cli dot      <app> <tiles> <out.dot>\n"
-      "  readys_cli serve-bench [--config <run.json>] [serve flags]\n"
-      "    serve flags: [--sessions <n>] [--rate <per_s>] [--queue <n>]\n"
-      "                 [--active <n>] [--workers <n>] [--deadline-us <d>]\n"
-      "                 [--retries <n>] [--backend f64ref|f32simd]\n"
-      "                 [--arrival poisson|bursty|pareto] "
-      "[--burst-factor <f>]\n"
-      "                 [--pareto-alpha <a>] [--tenant-rate <per_s>]\n"
-      "                 [--tenant-burst <n>] [--restart-budget <n>]\n"
-      "                 [--reload-watch <ckpt>]  (SIGHUP reloads now)\n"
-      "  readys_cli cluster-bench [--config <run.json>] [cluster flags]\n"
-      "    cluster flags: [--app <a>] [--tiles <n>] [--ncpu <n>] "
-      "[--ngpu <n>]\n"
-      "                   [--sigma <s>] [--scheduler <spec>] [--runs <n>]\n"
-      "                   [--seed <n>] [--shards <k>] [--stale-ms <d>]\n"
-      "                   [--hb-ms <d>] [--parallel <n>]\n"
-      "                   [--comm-tile-bytes <b>] [--comm-bandwidth <b_ms>]\n"
-      "                   [--comm-latency-ms <d>] "
-      "[--backend f64ref|f32simd]\n");
+      "  readys_cli serve-bench [--config <run.json>] [serve flags]\n");
+  print_flags("serve", core::kServeBench, {});
+  std::fprintf(stderr,
+               "    (with --reload-watch, SIGHUP reloads now)\n"
+               "  readys_cli cluster-bench [--config <run.json>] "
+               "[cluster flags]\n");
+  print_flags("cluster", core::kClusterBench, {"[--runs <n>]"});
+  std::fprintf(stderr,
+               "  Flag values are the run.json fields of docs/api.md.\n");
   return 2;
 }
 
@@ -87,8 +105,6 @@ bool parse_arg(const char* name, const char* text, T& out) {
   try {
     if constexpr (std::is_same_v<T, double>) {
       out = util::parse_double(name, text);
-    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-      out = util::parse_uint64(name, text);
     } else {
       static_assert(std::is_same_v<T, int>);
       out = util::parse_int(name, text);
@@ -106,6 +122,45 @@ bool parse_shape_args(char** argv, int& tiles, int& ncpu, int& ngpu) {
   return parse_arg("tiles", argv[3], tiles) &&
          parse_arg("ncpu", argv[4], ncpu) &&
          parse_arg("ngpu", argv[5], ngpu);
+}
+
+/// A subcommand's own flag (not a RunConfig field); it takes one value.
+struct LocalFlag {
+  const char* flag;
+  std::string* value;
+};
+
+/// Parses argv[i..argc) as the flags of subcommand argv[1]: RunConfig
+/// table flags `cmd` accepts, then `locals`. Returns 0 when all parse;
+/// otherwise prints why and returns the exit code: 2 for a missing or
+/// malformed value, usage() for an unknown flag.
+int parse_flags(core::Subcommand cmd, int argc, char** argv, int i,
+                core::RunConfig& cfg, std::initializer_list<LocalFlag> locals) {
+  for (; i < argc; ++i) {
+    try {
+      if (const int used = cfg.apply_flag(cmd, argc - i, argv + i)) {
+        i += used - 1;
+        continue;
+      }
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
+    const auto local =
+        std::find_if(locals.begin(), locals.end(), [&](const LocalFlag& l) {
+          return std::strcmp(l.flag, argv[i]) == 0;
+        });
+    if (local == locals.end()) {
+      std::fprintf(stderr, "unknown %s option '%s'\n", argv[1], argv[i]);
+      return usage();
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s needs a value\n", argv[i]);
+      return 2;
+    }
+    *local->value = argv[++i];
+  }
+  return 0;
 }
 
 int cmd_train(int argc, char** argv) {
@@ -131,34 +186,12 @@ int cmd_train(int argc, char** argv) {
 
   obs::TelemetryConfig telemetry_cfg;
   std::string manifest_path;
-  for (int i = flag_start; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--trainer" && i + 1 < argc) {
-      cfg.trainer = argv[++i];
-    } else if (flag == "--num-envs" && i + 1 < argc) {
-      if (!parse_arg("--num-envs", argv[++i], cfg.num_envs)) return 2;
-    } else if (flag == "--checkpoint-dir" && i + 1 < argc) {
-      cfg.checkpoint_dir = argv[++i];
-    } else if (flag == "--checkpoint-every" && i + 1 < argc) {
-      if (!parse_arg("--checkpoint-every", argv[++i], cfg.checkpoint_every)) {
-        return 2;
-      }
-    } else if (flag == "--checkpoint-retain" && i + 1 < argc) {
-      if (!parse_arg("--checkpoint-retain", argv[++i], cfg.checkpoint_retain)) {
-        return 2;
-      }
-    } else if (flag == "--resume") {
-      cfg.resume = true;
-    } else if (flag == "--metrics-out" && i + 1 < argc) {
-      telemetry_cfg.metrics_path = argv[++i];
-    } else if (flag == "--trace-out" && i + 1 < argc) {
-      telemetry_cfg.trace_path = argv[++i];
-    } else if (flag == "--manifest" && i + 1 < argc) {
-      manifest_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown train option '%s'\n", flag.c_str());
-      return usage();
-    }
+  if (const int rc =
+          parse_flags(core::kTrain, argc, argv, flag_start, cfg,
+                      {{"--metrics-out", &telemetry_cfg.metrics_path},
+                       {"--trace-out", &telemetry_cfg.trace_path},
+                       {"--manifest", &manifest_path}})) {
+    return rc;
   }
   cfg.validate();
   if (!telemetry_cfg.metrics_path.empty() ||
@@ -351,44 +384,8 @@ int cmd_serve_bench(int argc, char** argv) {
     cfg = core::RunConfig::from_file(argv[3]);
     i = 4;
   }
-  bool ok = true;
-  for (; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--sessions" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_sessions);
-    } else if (flag == "--rate" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_rate);
-    } else if (flag == "--queue" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_queue);
-    } else if (flag == "--active" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_active);
-    } else if (flag == "--workers" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_workers);
-    } else if (flag == "--deadline-us" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_deadline_us);
-    } else if (flag == "--retries" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_retries);
-    } else if (flag == "--backend" && i + 1 < argc) {
-      cfg.inference_backend = argv[++i];
-    } else if (flag == "--arrival" && i + 1 < argc) {
-      cfg.serve_arrival = argv[++i];
-    } else if (flag == "--burst-factor" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_burst_factor);
-    } else if (flag == "--pareto-alpha" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_pareto_alpha);
-    } else if (flag == "--tenant-rate" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_tenant_rate);
-    } else if (flag == "--tenant-burst" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_tenant_burst);
-    } else if (flag == "--restart-budget" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.serve_restart_budget);
-    } else if (flag == "--reload-watch" && i + 1 < argc) {
-      cfg.serve_reload_watch = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown serve-bench option '%s'\n", flag.c_str());
-      return usage();
-    }
-    if (!ok) return 2;
+  if (const int rc = parse_flags(core::kServeBench, argc, argv, i, cfg, {})) {
+    return rc;
   }
   cfg.validate();
   cfg.agent.seed = cfg.seed;
@@ -509,56 +506,23 @@ int cmd_serve_bench(int argc, char** argv) {
 int cmd_cluster_bench(int argc, char** argv) {
   cluster::register_cluster_scheduler();
   core::RunConfig cfg = core::RunConfig::from_env();
-  int runs = 5;
   int i = 2;
   if (argc >= 4 && std::strcmp(argv[2], "--config") == 0) {
     cfg = core::RunConfig::from_file(argv[3]);
     i = 4;
   }
-  bool ok = true;
-  for (; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--app" && i + 1 < argc) {
-      cfg.app = argv[++i];
-    } else if (flag == "--tiles" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.tiles);
-    } else if (flag == "--ncpu" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.ncpu);
-    } else if (flag == "--ngpu" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.ngpu);
-    } else if (flag == "--sigma" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.sigma);
-    } else if (flag == "--scheduler" && i + 1 < argc) {
-      cfg.scheduler = argv[++i];
-    } else if (flag == "--runs" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], runs);
-    } else if (flag == "--seed" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.seed);
-    } else if (flag == "--shards" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.cluster_shards);
-    } else if (flag == "--stale-ms" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.cluster_stale_ms);
-    } else if (flag == "--hb-ms" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.cluster_hb_ms);
-    } else if (flag == "--parallel" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.cluster_parallel);
-    } else if (flag == "--comm-tile-bytes" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.comm_tile_bytes);
-    } else if (flag == "--comm-bandwidth" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.comm_bandwidth);
-    } else if (flag == "--comm-latency-ms" && i + 1 < argc) {
-      ok = parse_arg(flag.c_str(), argv[++i], cfg.comm_latency_ms);
-    } else if (flag == "--backend" && i + 1 < argc) {
-      cfg.inference_backend = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown cluster-bench option '%s'\n",
-                   flag.c_str());
-      return usage();
-    }
-    if (!ok) return 2;
+  std::string runs_text = "5";
+  if (const int rc = parse_flags(core::kClusterBench, argc, argv, i, cfg,
+                                 {{"--runs", &runs_text}})) {
+    return rc;
+  }
+  int runs = 0;
+  if (!parse_arg("--runs", runs_text.c_str(), runs)) return 2;
+  if (runs < 1) {
+    std::fprintf(stderr, "--runs must be >= 1, got '%s'\n", runs_text.c_str());
+    return 2;
   }
   cfg.validate();
-  if (runs < 1) runs = 1;
 
   const auto graph = cfg.make_graph();
   const auto platform = cfg.make_platform();

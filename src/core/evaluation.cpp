@@ -42,23 +42,6 @@ std::vector<double> evaluate_makespans(
   return out;
 }
 
-ImprovementResult improvement_over(
-    const dag::TaskGraph& graph, const sim::Platform& platform,
-    const sim::CostModel& costs, const SchedulerFactory& a,
-    const SchedulerFactory& b, double sigma, int runs,
-    std::uint64_t seed_base, util::ThreadPool* pool) {
-  ImprovementResult result;
-  const auto ma = evaluate_makespans(graph, platform, costs, a, sigma, runs,
-                                     seed_base, pool);
-  const auto mb = evaluate_makespans(graph, platform, costs, b, sigma, runs,
-                                     seed_base, pool);
-  result.a = util::summarize(ma);
-  result.b = util::summarize(mb);
-  result.improvement = result.a.mean > 0.0 ? result.b.mean / result.a.mean
-                                           : 0.0;
-  return result;
-}
-
 SchedulerFactory registry_factory(const std::string& name) {
   return [name](std::uint64_t seed) {
     sched::SchedulerConfig cfg;

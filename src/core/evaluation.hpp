@@ -5,7 +5,6 @@
 #include <string>
 
 #include "sim/simulator.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace readys::core {
@@ -35,21 +34,6 @@ std::vector<double> evaluate_makespans(
     const sim::CostModel& costs, const SchedulerFactory& factory,
     const sim::Simulator::Options& base, int runs,
     util::ThreadPool* pool = nullptr);
-
-/// Mean makespans of two strategies and their ratio — the paper's
-/// "improvement of A over B" is makespan(B)/makespan(A) (bars above 1
-/// mean A wins).
-struct ImprovementResult {
-  util::Summary a;
-  util::Summary b;
-  double improvement = 0.0;  ///< mean(b) / mean(a)
-};
-
-ImprovementResult improvement_over(
-    const dag::TaskGraph& graph, const sim::Platform& platform,
-    const sim::CostModel& costs, const SchedulerFactory& a,
-    const SchedulerFactory& b, double sigma, int runs,
-    std::uint64_t seed_base, util::ThreadPool* pool = nullptr);
 
 /// Evaluation factory for any sched::registry() name: run i's seed goes
 /// into SchedulerConfig::seed. Throws (at call time) on unknown names.

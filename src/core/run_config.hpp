@@ -11,6 +11,34 @@
 
 namespace readys::core {
 
+/// readys_cli subcommands that take RunConfig flags; Field::commands is
+/// a mask of them.
+enum Subcommand : unsigned { kTrain = 1, kServeBench = 2, kClusterBench = 4 };
+
+/// The bound RunConfig::validate() checks on one field.
+struct Bound {
+  enum Kind { kNone, kAtLeast, kAbove, kFinite } kind = kNone;
+  double min = 0.0;
+};
+constexpr Bound at_least(double min) { return {Bound::kAtLeast, min}; }
+constexpr Bound above(double min) { return {Bound::kAbove, min}; }
+constexpr Bound finite() { return {Bound::kFinite, 0.0}; }
+
+/// One RunConfig field as each input names it. The member's type (int,
+/// std::uint64_t, double, bool or std::string) sets how it is parsed; a
+/// bool flag is a switch that takes no value.
+struct Field {
+  const char* key;             ///< JSON key, under "agent" when `agent`
+  const char* env = nullptr;   ///< READYS_* variable, if any
+  const char* flag = nullptr;  ///< readys_cli flag, if any
+  unsigned commands = 0;       ///< Subcommand bits that accept `flag`
+  Bound bound = {};
+  bool agent = false;  ///< an rl::AgentConfig field
+
+  /// The key as errors name it: "tiles", "agent.hidden".
+  std::string name() const { return agent ? std::string("agent.") + key : key; }
+};
+
 /// One experiment, one document. RunConfig folds the knobs that used to
 /// be scattered across rl::AgentConfig, rl::TrainOptions,
 /// SchedulingEnv::Config, ad-hoc CLI positionals and READYS_* env
@@ -89,37 +117,38 @@ struct RunConfig {
   rl::AgentConfig agent;
 
   /// Serializes to a single-line JSON object, "config":"readys-run/1"
-  /// first, fields in declaration order, the agent nested under
-  /// "agent". Doubles carry 15 significant digits, so
+  /// first, then the for_each_field() rows in order, the agent nested
+  /// under "agent". Doubles carry 15 significant digits, so
   /// from_json(to_json()) is the identity for round-trippable values.
   std::string to_json() const;
 
   /// Strict parse of a "readys-run/1" document: unknown keys, type
   /// mismatches, malformed JSON, and trailing garbage all throw
-  /// std::invalid_argument. Missing keys keep their defaults, so a
-  /// config file states only what it overrides.
+  /// std::invalid_argument naming the key. Missing keys keep their
+  /// defaults, so a config file states only what it overrides.
   static RunConfig from_json(const std::string& json);
 
   /// from_json over a file's contents; throws std::runtime_error when
   /// the file cannot be read.
   static RunConfig from_file(const std::string& path);
 
-  /// Defaults overlaid with the legacy READYS_* environment variables
-  /// (READYS_APP, READYS_TILES, READYS_NCPU, READYS_NGPU, READYS_SIGMA,
-  /// READYS_TRAIN_EPISODES, READYS_HIDDEN, READYS_NUM_ENVS,
-  /// READYS_SEED) and the decision-service knobs (READYS_SERVE_SESSIONS,
-  /// READYS_SERVE_RATE, READYS_SERVE_QUEUE, READYS_SERVE_ACTIVE,
-  /// READYS_SERVE_WORKERS, READYS_SERVE_DEADLINE_US,
-  /// READYS_SERVE_RETRIES), the inference fast path
-  /// (READYS_INFERENCE_BACKEND), the communication axis (READYS_COMM_TILE_BYTES,
-  /// READYS_COMM_BANDWIDTH, READYS_COMM_LATENCY_MS) and the cluster knobs
-  /// (READYS_CLUSTER_SHARDS, READYS_CLUSTER_STALE_MS, READYS_CLUSTER_HB_MS,
-  /// READYS_CLUSTER_PARALLEL), so benches stay tunable without a config
-  /// file.
-  static RunConfig from_env();
+  /// `base` overlaid with the READYS_* variable of every row that has
+  /// one (see for_each_field), so benches stay tunable without a config
+  /// file. An unset or empty variable keeps `base`'s value; a malformed
+  /// one throws std::invalid_argument naming the variable.
+  static RunConfig from_env(RunConfig base);
+  static RunConfig from_env() { return from_env(RunConfig()); }
 
-  /// Sanity-checks the cross-field constraints (known app/trainer,
-  /// positive sizes, finite non-negative sigma...); throws
+  /// Applies one readys_cli flag that `cmd` accepts: `args[0]` is the
+  /// flag, `args[1]` its value unless the field is a bool (a switch such
+  /// as `--resume`). Returns the arguments consumed, 0 when `args[0]` is
+  /// not a flag of `cmd`. A missing or malformed value throws
+  /// std::invalid_argument naming the flag.
+  int apply_flag(Subcommand cmd, int argc, const char* const* args);
+
+  /// Checks every row's bound, then the cross-field constraints (known
+  /// app/trainer/arrival/backend, non-empty scheduler, at least one
+  /// resource, bandwidth for an active comm axis); throws
   /// std::invalid_argument with the offending field named.
   void validate() const;
 
@@ -138,5 +167,126 @@ struct RunConfig {
   rl::SchedulingEnv::Config env_config() const;
   rl::TrainOptions train_options() const;
 };
+
+/// RunConfig's one list of fields, in to_json() order: calls
+/// `v(row, cfg.member)` once per field, `cfg` const or not. to_json,
+/// from_json, from_env, apply_flag, validate's per-field half and the
+/// readys_cli usage text are each one pass over it.
+template <class Cfg, class V>
+void for_each_field(Cfg& c, V&& v) {
+  v({.key = "app", .env = "READYS_APP", .flag = "--app",
+     .commands = kClusterBench}, c.app);
+  v({.key = "tiles", .env = "READYS_TILES", .flag = "--tiles",
+     .commands = kClusterBench, .bound = at_least(1)}, c.tiles);
+  v({.key = "ncpu", .env = "READYS_NCPU", .flag = "--ncpu",
+     .commands = kClusterBench, .bound = at_least(0)}, c.ncpu);
+  v({.key = "ngpu", .env = "READYS_NGPU", .flag = "--ngpu",
+     .commands = kClusterBench, .bound = at_least(0)}, c.ngpu);
+  v({.key = "sigma", .env = "READYS_SIGMA", .flag = "--sigma",
+     .commands = kClusterBench, .bound = at_least(0)}, c.sigma);
+  v({.key = "random_offer"}, c.random_offer);
+  v({.key = "comm_tile_bytes", .env = "READYS_COMM_TILE_BYTES",
+     .flag = "--comm-tile-bytes", .commands = kClusterBench,
+     .bound = at_least(0)}, c.comm_tile_bytes);
+  v({.key = "comm_bandwidth", .env = "READYS_COMM_BANDWIDTH",
+     .flag = "--comm-bandwidth", .commands = kClusterBench,
+     .bound = at_least(0)}, c.comm_bandwidth);
+  v({.key = "comm_latency_ms", .env = "READYS_COMM_LATENCY_MS",
+     .flag = "--comm-latency-ms", .commands = kClusterBench,
+     .bound = at_least(0)}, c.comm_latency_ms);
+  v({.key = "cluster_shards", .env = "READYS_CLUSTER_SHARDS",
+     .flag = "--shards", .commands = kClusterBench, .bound = at_least(1)},
+    c.cluster_shards);
+  v({.key = "cluster_stale_ms", .env = "READYS_CLUSTER_STALE_MS",
+     .flag = "--stale-ms", .commands = kClusterBench, .bound = at_least(0)},
+    c.cluster_stale_ms);
+  v({.key = "cluster_hb_ms", .env = "READYS_CLUSTER_HB_MS",
+     .flag = "--hb-ms", .commands = kClusterBench, .bound = above(0)},
+    c.cluster_hb_ms);
+  v({.key = "cluster_parallel", .env = "READYS_CLUSTER_PARALLEL",
+     .flag = "--parallel", .commands = kClusterBench, .bound = at_least(0)},
+    c.cluster_parallel);
+  v({.key = "scheduler", .flag = "--scheduler", .commands = kClusterBench},
+    c.scheduler);
+  v({.key = "trainer", .flag = "--trainer", .commands = kTrain}, c.trainer);
+  v({.key = "episodes", .env = "READYS_TRAIN_EPISODES",
+     .bound = at_least(1)}, c.episodes);
+  v({.key = "num_envs", .env = "READYS_NUM_ENVS", .flag = "--num-envs",
+     .commands = kTrain, .bound = at_least(1)}, c.num_envs);
+  v({.key = "seed", .env = "READYS_SEED", .flag = "--seed",
+     .commands = kClusterBench}, c.seed);
+  v({.key = "checkpoint_dir", .flag = "--checkpoint-dir",
+     .commands = kTrain}, c.checkpoint_dir);
+  v({.key = "checkpoint_every", .flag = "--checkpoint-every",
+     .commands = kTrain, .bound = at_least(1)}, c.checkpoint_every);
+  v({.key = "checkpoint_retain", .flag = "--checkpoint-retain",
+     .commands = kTrain, .bound = at_least(1)}, c.checkpoint_retain);
+  v({.key = "resume", .flag = "--resume", .commands = kTrain}, c.resume);
+  v({.key = "divergence_patience"}, c.divergence_patience);
+  v({.key = "serve_sessions", .env = "READYS_SERVE_SESSIONS",
+     .flag = "--sessions", .commands = kServeBench, .bound = at_least(0)},
+    c.serve_sessions);
+  v({.key = "serve_rate", .env = "READYS_SERVE_RATE", .flag = "--rate",
+     .commands = kServeBench, .bound = above(0)}, c.serve_rate);
+  v({.key = "serve_queue", .env = "READYS_SERVE_QUEUE", .flag = "--queue",
+     .commands = kServeBench, .bound = at_least(1)}, c.serve_queue);
+  v({.key = "serve_active", .env = "READYS_SERVE_ACTIVE",
+     .flag = "--active", .commands = kServeBench, .bound = at_least(1)},
+    c.serve_active);
+  v({.key = "serve_workers", .env = "READYS_SERVE_WORKERS",
+     .flag = "--workers", .commands = kServeBench, .bound = at_least(0)},
+    c.serve_workers);
+  // Negative disables the deadline and 0 degrades every decision.
+  v({.key = "serve_deadline_us", .env = "READYS_SERVE_DEADLINE_US",
+     .flag = "--deadline-us", .commands = kServeBench, .bound = finite()},
+    c.serve_deadline_us);
+  v({.key = "serve_retries", .env = "READYS_SERVE_RETRIES",
+     .flag = "--retries", .commands = kServeBench, .bound = at_least(0)},
+    c.serve_retries);
+  v({.key = "serve_arrival", .env = "READYS_SERVE_ARRIVAL",
+     .flag = "--arrival", .commands = kServeBench}, c.serve_arrival);
+  v({.key = "serve_burst_factor", .env = "READYS_SERVE_BURST_FACTOR",
+     .flag = "--burst-factor", .commands = kServeBench,
+     .bound = at_least(1)}, c.serve_burst_factor);
+  // A Pareto tail index <= 1 has no finite mean.
+  v({.key = "serve_pareto_alpha", .env = "READYS_SERVE_PARETO_ALPHA",
+     .flag = "--pareto-alpha", .commands = kServeBench, .bound = above(1)},
+    c.serve_pareto_alpha);
+  v({.key = "serve_tenant_rate", .env = "READYS_SERVE_TENANT_RATE",
+     .flag = "--tenant-rate", .commands = kServeBench,
+     .bound = at_least(0)}, c.serve_tenant_rate);
+  v({.key = "serve_tenant_burst", .env = "READYS_SERVE_TENANT_BURST",
+     .flag = "--tenant-burst", .commands = kServeBench,
+     .bound = at_least(1)}, c.serve_tenant_burst);
+  v({.key = "serve_restart_budget", .env = "READYS_SERVE_RESTART_BUDGET",
+     .flag = "--restart-budget", .commands = kServeBench,
+     .bound = at_least(0)}, c.serve_restart_budget);
+  v({.key = "serve_reload_watch", .env = "READYS_SERVE_RELOAD_WATCH",
+     .flag = "--reload-watch", .commands = kServeBench},
+    c.serve_reload_watch);
+  v({.key = "inference_backend", .env = "READYS_INFERENCE_BACKEND",
+     .flag = "--backend", .commands = kServeBench | kClusterBench},
+    c.inference_backend);
+
+  v({.key = "window", .bound = at_least(1), .agent = true}, c.agent.window);
+  v({.key = "gcn_layers", .bound = at_least(1), .agent = true},
+    c.agent.gcn_layers);
+  v({.key = "hidden", .env = "READYS_HIDDEN", .bound = at_least(1),
+     .agent = true}, c.agent.hidden);
+  v({.key = "lr", .agent = true}, c.agent.lr);
+  v({.key = "gamma", .agent = true}, c.agent.gamma);
+  v({.key = "entropy_beta", .agent = true}, c.agent.entropy_beta);
+  v({.key = "entropy_decay", .agent = true}, c.agent.entropy_decay);
+  v({.key = "value_coef", .agent = true}, c.agent.value_coef);
+  v({.key = "unroll", .agent = true}, c.agent.unroll);
+  v({.key = "grad_clip", .agent = true}, c.agent.grad_clip);
+  v({.key = "normalize_advantage", .agent = true},
+    c.agent.normalize_advantage);
+  v({.key = "squash_reward", .agent = true}, c.agent.squash_reward);
+  v({.key = "reward_clip", .agent = true}, c.agent.reward_clip);
+  v({.key = "critic_sees_resources", .agent = true},
+    c.agent.critic_sees_resources);
+  v({.key = "seed", .agent = true}, c.agent.seed);
+}
 
 }  // namespace readys::core

@@ -101,50 +101,6 @@ double Optimizer::clip_grad_norm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Var> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) {
-    velocity_.push_back(Tensor::zeros(p.rows(), p.cols()));
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    Tensor& w = params_[k].mutable_value();
-    const Tensor& g = params_[k].grad();
-    Tensor& vel = velocity_[k];
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      vel[i] = momentum_ * vel[i] + g[i];
-      w[i] -= lr_ * vel[i];
-    }
-  }
-}
-
-std::vector<std::string> Sgd::state_rows() const {
-  std::vector<std::string> rows;
-  rows.reserve(1 + velocity_.size());
-  rows.push_back("sgd " + std::to_string(velocity_.size()));
-  for (std::size_t k = 0; k < velocity_.size(); ++k) {
-    rows.push_back(tensor_row("vel", k, velocity_[k]));
-  }
-  return rows;
-}
-
-void Sgd::load_state_rows(const std::vector<std::string>& rows) {
-  if (rows.size() != 1 + velocity_.size() ||
-      rows[0] != "sgd " + std::to_string(velocity_.size())) {
-    state_fail("expected header 'sgd " + std::to_string(velocity_.size()) +
-               "' and one vel row per parameter, got " +
-               std::to_string(rows.size()) + " rows");
-  }
-  std::vector<Tensor> vel = velocity_;  // validate into a copy, then swap
-  for (std::size_t k = 0; k < vel.size(); ++k) {
-    parse_tensor_row(rows[1 + k], "vel", k, vel[k]);
-  }
-  velocity_ = std::move(vel);
-}
-
 Adam::Adam(std::vector<Var> params, double lr, double beta1, double beta2,
            double eps)
     : Optimizer(std::move(params)),

@@ -52,20 +52,6 @@ class Optimizer {
   std::vector<Var> params_;
 };
 
-/// Vanilla SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, double lr, double momentum = 0.0);
-  void step() override;
-  std::vector<std::string> state_rows() const override;
-  void load_state_rows(const std::vector<std::string>& rows) override;
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba). Defaults match PyTorch: beta1=0.9, beta2=0.999,
 /// eps=1e-8 — the paper trains with Adam(lr=0.01) and PyTorch defaults.
 class Adam : public Optimizer {

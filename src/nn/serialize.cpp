@@ -1,8 +1,8 @@
 #include "nn/serialize.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -26,21 +26,27 @@ std::string shape_str(std::size_t rows, std::size_t cols) {
 }  // namespace
 
 std::string serialize_parameters(const Module& module) {
-  std::ostringstream os;
-  os << kMagic << '\n';
-  os << std::setprecision(17);
+  std::string out = kMagic;
+  out += '\n';
   std::size_t count = 0;
+  // to_chars(general, 17) is %.17g, the text `<< setprecision(17)`
+  // writes, without a stream's per-value locale and sentry cost.
+  char buf[32];
   for (const auto& [name, var] : module.named_parameters()) {
     const Tensor& t = var.value();
-    os << name << ' ' << t.rows() << ' ' << t.cols() << '\n';
+    out += name + ' ' + std::to_string(t.rows()) + ' ' +
+           std::to_string(t.cols()) + '\n';
     for (std::size_t i = 0; i < t.size(); ++i) {
-      os << t[i] << (i + 1 == t.size() ? '\n' : ' ');
+      const auto res = std::to_chars(buf, buf + sizeof buf, t[i],
+                                     std::chars_format::general, 17);
+      out.append(buf, res.ptr);
+      out += i + 1 == t.size() ? '\n' : ' ';
     }
-    if (t.size() == 0) os << '\n';
+    if (t.size() == 0) out += '\n';
     ++count;
   }
-  os << "end " << count << '\n';
-  return os.str();
+  out += "end " + std::to_string(count) + '\n';
+  return out;
 }
 
 void deserialize_parameters(Module& module, const std::string& blob) {

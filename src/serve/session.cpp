@@ -26,18 +26,6 @@ rl::SchedulingEnv::Config env_config(const SessionSpec& spec, int window,
 
 }  // namespace
 
-const char* qos_class_name(QosClass c) {
-  switch (c) {
-    case QosClass::kDeadline:
-      return "deadline";
-    case QosClass::kNormal:
-      return "normal";
-    case QosClass::kBatch:
-      return "batch";
-  }
-  return "unknown";
-}
-
 const char* session_state_name(SessionState s) {
   switch (s) {
     case SessionState::kCompleted:

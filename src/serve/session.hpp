@@ -21,8 +21,6 @@ namespace readys::serve {
 /// never displaces a higher class for a lower one.
 enum class QosClass : int { kDeadline = 0, kNormal = 1, kBatch = 2 };
 
-const char* qos_class_name(QosClass c);
-
 /// What a client submits to the DecisionService: which DAG to schedule
 /// and under what conditions. Specs are plain data and survive retries
 /// unchanged — only the derived env seed varies per attempt.

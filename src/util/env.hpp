@@ -21,7 +21,7 @@ double parse_double(const char* name, const std::string& text);
 /// throws std::invalid_argument naming the variable instead of being
 /// silently truncated or ignored. Used by the benchmark harness so figure
 /// reproductions can be scaled from smoke-test to paper-level budgets
-/// without recompiling, and by RunConfig::from_env.
+/// without recompiling; RunConfig::from_env applies the same rule.
 int env_int(const char* name, int fallback);
 std::uint64_t env_uint64(const char* name, std::uint64_t fallback);
 double env_double(const char* name, double fallback);

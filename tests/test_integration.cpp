@@ -37,18 +37,6 @@ TEST(Integration, TrainedAgentBeatsRandomOnCholesky) {
   EXPECT_LT(ru::mean(readys_mk), ru::mean(random_mk));
 }
 
-TEST(Integration, ImprovementHarnessComputesRatios) {
-  const auto graph = rc::make_graph(rc::App::kLu, 4);
-  const auto costs = rc::make_costs(rc::App::kLu);
-  const auto platform = rs::Platform::hybrid(2, 2);
-  const auto result =
-      rc::improvement_over(graph, platform, costs, rc::heft_factory(),
-                           rc::random_factory(), 0.3, 5, 42);
-  EXPECT_GT(result.improvement, 1.0);  // HEFT beats random
-  EXPECT_EQ(result.a.count, 5u);
-  EXPECT_EQ(result.b.count, 5u);
-}
-
 TEST(Integration, AllBaselinesRunOnEveryAppAndPlatform) {
   ru::ThreadPool pool(4);
   for (auto app : {rc::App::kCholesky, rc::App::kLu, rc::App::kQr}) {

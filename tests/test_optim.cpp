@@ -37,29 +37,6 @@ double optimize_quadratic(MakeOpt make_opt, int steps) {
 
 }  // namespace
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  const double dist = optimize_quadratic(
-      [](std::vector<rt::Var> p) {
-        return std::make_unique<rn::Sgd>(std::move(p), 0.1);
-      },
-      500);
-  EXPECT_LT(dist, 1e-6);
-}
-
-TEST(Sgd, MomentumConvergesFaster) {
-  const double plain = optimize_quadratic(
-      [](std::vector<rt::Var> p) {
-        return std::make_unique<rn::Sgd>(std::move(p), 0.02);
-      },
-      50);
-  const double momentum = optimize_quadratic(
-      [](std::vector<rt::Var> p) {
-        return std::make_unique<rn::Sgd>(std::move(p), 0.02, 0.9);
-      },
-      50);
-  EXPECT_LT(momentum, plain);
-}
-
 TEST(Adam, ConvergesOnQuadratic) {
   const double dist = optimize_quadratic(
       [](std::vector<rt::Var> p) {
@@ -80,7 +57,7 @@ TEST(Adam, FirstStepHasLearningRateMagnitude) {
 
 TEST(Optimizer, ClipGradNorm) {
   rt::Var w(rt::Tensor(1, 2, 0.0), true);
-  rn::Sgd opt({w}, 0.1);
+  rn::Adam opt({w}, 0.1);
   // Force a known gradient of norm 5.
   rt::Var loss = rt::sum_all(
       rt::mul(w, rt::Var(rt::Tensor::from_rows({{3.0, 4.0}}))));
@@ -100,7 +77,7 @@ TEST(Optimizer, GradsFiniteDetectsPoisonedGradients) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   rt::Var w(rt::Tensor(1, 2, 1.0), true);
-  rn::Sgd opt({w}, 0.1);
+  rn::Adam opt({w}, 0.1);
 
   rt::sum_all(w).backward();
   EXPECT_TRUE(opt.grads_finite());
@@ -176,22 +153,6 @@ TEST(Adam, FreshResumeWithoutStateDiverges) {
     if (wa.value()[i] != wb.value()[i]) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
-}
-
-TEST(Sgd, StateRowsRoundTripResumesExactTrajectory) {
-  rt::Var wa(rt::Tensor(1, 4, 0.0), true);
-  rn::Sgd a({wa}, 0.02, 0.9);
-  descend(wa, a, 10);
-
-  rt::Var wb(rt::Tensor(wa.value()), true);
-  rn::Sgd b({wb}, 0.02, 0.9);
-  b.load_state_rows(a.state_rows());
-
-  descend(wa, a, 25);
-  descend(wb, b, 25);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(wa.value()[i], wb.value()[i]) << "index " << i;
-  }
 }
 
 TEST(Optimizer, LoadStateRowsRejectsMalformedRowsWithoutApplying) {

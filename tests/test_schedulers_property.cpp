@@ -20,6 +20,7 @@
 #include "sched/random_sched.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
+#include "util/stats.hpp"
 
 namespace rc = readys::core;
 namespace rd = readys::dag;

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <iomanip>
+#include <iterator>
+#include <limits>
+#include <sstream>
 
+#include "nn/linear.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/ops.hpp"
@@ -31,6 +38,57 @@ TEST(Serialize, InMemoryRoundTripIsExact) {
   for (std::size_t i = 0; i < pa.size(); ++i) {
     EXPECT_TRUE(pa[i].value() == pb[i].value()) << "param " << i;
   }
+}
+
+TEST(Serialize, TextMatchesStreamFormatting) {
+  // The blob's number text must stay what `<< setprecision(17)` writes:
+  // checkpoints and weight files written before and after compare equal.
+  Rng rng(11);
+  rn::Linear layer(128, 256, rng);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,
+                             -0.0,
+                             1.0,
+                             -1.0,
+                             0.1,
+                             1e-300,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min() / 3.0,
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             inf,
+                             -inf,
+                             123456789012345678.0,
+                             1e16,
+                             1e17};
+  std::size_t n = 0;
+  for (auto& p : layer.parameters()) {
+    rt::Tensor& t = p.mutable_value();
+    for (std::size_t i = 0; i < t.size(); ++i, ++n) {
+      if (n < std::size(specials)) {
+        t[i] = specials[n];
+      } else {
+        const std::uint64_t bits = rng();
+        std::memcpy(&t[i], &bits, sizeof bits);
+      }
+    }
+  }
+  ASSERT_GT(n, 30000u);
+
+  std::ostringstream os;
+  os << "readys-weights v1\n" << std::setprecision(17);
+  std::size_t count = 0;
+  for (const auto& [name, var] : layer.named_parameters()) {
+    const rt::Tensor& t = var.value();
+    os << name << ' ' << t.rows() << ' ' << t.cols() << '\n';
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      os << t[i] << (i + 1 == t.size() ? '\n' : ' ');
+    }
+    ++count;
+  }
+  os << "end " << count << '\n';
+  EXPECT_EQ(rn::serialize_parameters(layer), os.str());
 }
 
 TEST(Serialize, FileRoundTripPreservesForwardPass) {

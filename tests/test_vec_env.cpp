@@ -12,9 +12,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
+#include <regex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -697,4 +702,333 @@ TEST(RunConfig, EnvOverlayHonorsLegacyVariables) {
   ::unsetenv("READYS_SEED");
   EXPECT_EQ(wide.seed, 4294967296ULL);
   EXPECT_EQ(rc::RunConfig::from_json(wide.to_json()).seed, 4294967296ULL);
+}
+
+// ---------------------------------------------------------------------
+// RunConfig's field table: every input reads it the same way
+// ---------------------------------------------------------------------
+
+namespace {
+
+template <class T>
+constexpr bool kIsBool = std::is_same_v<std::remove_cvref_t<T>, bool>;
+
+/// Runs `fn`, which must throw std::invalid_argument naming `name`.
+template <class Fn>
+void expect_error_naming(const std::string& name, Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "no error naming " << name;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+}
+
+/// A document setting one row's JSON key to `value`.
+std::string one_key_doc(const rc::Field& f, const std::string& value) {
+  const std::string pair = "\"" + std::string(f.key) + "\":" + value;
+  return f.agent ? "{\"agent\":{" + pair + "}}" : "{" + pair + "}";
+}
+
+constexpr rc::Subcommand kSubcommands[] = {rc::kTrain, rc::kServeBench,
+                                           rc::kClusterBench};
+
+}  // namespace
+
+TEST(RunConfig, RowsAreTheDocumentKeysInOrder) {
+  const std::string json = rc::RunConfig().to_json();
+  const std::string agent_open = "\"agent\":{";
+  const std::size_t agent_at = json.find(agent_open);
+  ASSERT_NE(agent_at, std::string::npos);
+  const auto keys_of = [](const std::string& text) {
+    static const std::regex kKey(R"re("([a-z_0-9]+)":)re");
+    std::vector<std::string> keys;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), kKey);
+         it != std::sregex_iterator(); ++it) {
+      keys.push_back((*it)[1]);
+    }
+    return keys;
+  };
+  std::vector<std::string> top = keys_of(json.substr(0, agent_at));
+  ASSERT_FALSE(top.empty());
+  EXPECT_EQ(top.front(), "config");
+  top.erase(top.begin());
+
+  std::vector<std::string> top_rows;
+  std::vector<std::string> agent_rows;
+  const rc::RunConfig cfg;
+  rc::for_each_field(cfg, [&](const rc::Field& f, const auto&) {
+    (f.agent ? agent_rows : top_rows).push_back(f.key);
+  });
+  EXPECT_EQ(top_rows, top);
+  EXPECT_EQ(agent_rows, keys_of(json.substr(agent_at + agent_open.size())));
+}
+
+TEST(RunConfig, DefaultDocumentIsUnchanged) {
+  EXPECT_EQ(
+      rc::RunConfig().to_json(),
+      R"({"config":"readys-run/1","app":"cholesky","tiles":8,"ncpu":2,)"
+      R"("ngpu":2,"sigma":0,"random_offer":false,"comm_tile_bytes":0,)"
+      R"("comm_bandwidth":0,"comm_latency_ms":0,"cluster_shards":1,)"
+      R"("cluster_stale_ms":5,"cluster_hb_ms":1,"cluster_parallel":0,)"
+      R"("scheduler":"mct","trainer":"a2c","episodes":200,"num_envs":1,)"
+      R"("seed":1,"checkpoint_dir":"","checkpoint_every":50,)"
+      R"("checkpoint_retain":3,"resume":false,"divergence_patience":3,)"
+      R"("serve_sessions":64,"serve_rate":50,"serve_queue":64,)"
+      R"("serve_active":8,"serve_workers":1,"serve_deadline_us":-1,)"
+      R"("serve_retries":0,"serve_arrival":"poisson",)"
+      R"("serve_burst_factor":4,"serve_pareto_alpha":1.5,)"
+      R"("serve_tenant_rate":0,"serve_tenant_burst":8,)"
+      R"("serve_restart_budget":3,"serve_reload_watch":"",)"
+      R"("inference_backend":"f64ref","agent":{"window":1,)"
+      R"("gcn_layers":2,"hidden":64,"lr":0.01,"gamma":0.99,)"
+      R"("entropy_beta":0.005,"entropy_decay":true,"value_coef":0.5,)"
+      R"("unroll":0,"grad_clip":1,"normalize_advantage":false,)"
+      R"("squash_reward":true,"reward_clip":1,)"
+      R"("critic_sees_resources":false,"seed":1}})");
+}
+
+// Through JSON, env and every subcommand's flag, a good value lands in
+// the row's own member and nowhere else, and a malformed or out-of-bound
+// one is an error that names the key, variable or flag.
+TEST(RunConfig, EveryRowReachesItsMemberAndNamesItsErrors) {
+  rc::RunConfig cfg;
+  const std::string defaults = cfg.to_json();
+  rc::for_each_field(cfg, [&](const rc::Field& f, auto& member) {
+    using T = std::remove_cvref_t<decltype(member)>;
+    constexpr bool kString = std::is_same_v<T, std::string>;
+    SCOPED_TRACE(f.name());
+    const T saved = member;
+    std::string good = "7";  // as JSON
+    if constexpr (kIsBool<T>) {
+      member = !member;
+      good = member ? "true" : "false";
+    } else if constexpr (kString) {
+      member = "7";
+      good = "\"7\"";
+    } else {
+      member = 7;
+    }
+    const std::string expected = cfg.to_json();
+    ASSERT_NE(expected, defaults);
+
+    EXPECT_EQ(rc::RunConfig::from_json(one_key_doc(f, good)).to_json(),
+              expected);
+    expect_error_naming("\"" + f.name() + "\"", [&] {
+      rc::RunConfig::from_json(one_key_doc(f, kString ? "7" : "\"x\""));
+    });
+
+    if (f.env != nullptr) {
+      ::setenv(f.env, "7", 1);
+      EXPECT_EQ(rc::RunConfig::from_env().to_json(), expected);
+      if (!kString) {
+        ::setenv(f.env, "12x", 1);
+        expect_error_naming(f.env, [] { rc::RunConfig::from_env(); });
+      }
+      ::unsetenv(f.env);
+    }
+
+    for (const rc::Subcommand cmd : kSubcommands) {
+      if (f.flag == nullptr || (f.commands & cmd) == 0) continue;
+      rc::RunConfig target;
+      const char* with_value[] = {f.flag, "7"};
+      const char* malformed[] = {f.flag, "4x"};
+      if constexpr (kIsBool<T>) {
+        EXPECT_EQ(target.apply_flag(cmd, 1, with_value), 1);
+      } else {
+        EXPECT_EQ(target.apply_flag(cmd, 2, with_value), 2);
+        expect_error_naming(f.flag,
+                            [&] { target.apply_flag(cmd, 1, with_value); });
+        if (!kString) {
+          expect_error_naming(f.flag,
+                              [&] { target.apply_flag(cmd, 2, malformed); });
+        }
+      }
+      EXPECT_EQ(target.to_json(), expected);
+    }
+
+    member = saved;
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (f.bound.kind != rc::Bound::kNone) {
+        if (f.bound.kind == rc::Bound::kAtLeast) {
+          member = static_cast<T>(f.bound.min - 1);
+        } else if (f.bound.kind == rc::Bound::kAbove) {
+          member = static_cast<T>(f.bound.min);
+        } else {
+          member = static_cast<T>(std::numeric_limits<double>::infinity());
+        }
+        expect_error_naming(f.name(), [&] { cfg.validate(); });
+        member = saved;
+      }
+    }
+  });
+  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_EQ(cfg.to_json(), defaults);
+}
+
+// The bound validate() enforces on each field, as it checked them
+// field by field before the table existed.
+TEST(RunConfig, BoundsAreTheValidatedOnes) {
+  const std::map<std::string, std::string> documented = {
+      {"tiles", ">= 1"},
+      {"ncpu", ">= 0"},
+      {"ngpu", ">= 0"},
+      {"sigma", ">= 0"},
+      {"comm_tile_bytes", ">= 0"},
+      {"comm_bandwidth", ">= 0"},
+      {"comm_latency_ms", ">= 0"},
+      {"cluster_shards", ">= 1"},
+      {"cluster_stale_ms", ">= 0"},
+      {"cluster_hb_ms", "> 0"},
+      {"cluster_parallel", ">= 0"},
+      {"episodes", ">= 1"},
+      {"num_envs", ">= 1"},
+      {"checkpoint_every", ">= 1"},
+      {"checkpoint_retain", ">= 1"},
+      {"serve_sessions", ">= 0"},
+      {"serve_rate", "> 0"},
+      {"serve_queue", ">= 1"},
+      {"serve_active", ">= 1"},
+      {"serve_workers", ">= 0"},
+      {"serve_deadline_us", "finite"},
+      {"serve_retries", ">= 0"},
+      {"serve_burst_factor", ">= 1"},
+      {"serve_pareto_alpha", "> 1"},
+      {"serve_tenant_rate", ">= 0"},
+      {"serve_tenant_burst", ">= 1"},
+      {"serve_restart_budget", ">= 0"},
+      {"agent.window", ">= 1"},
+      {"agent.gcn_layers", ">= 1"},
+      {"agent.hidden", ">= 1"}};
+  std::map<std::string, std::string> table;
+  rc::RunConfig cfg;
+  rc::for_each_field(cfg, [&](const rc::Field& f, auto&) {
+    const rc::Bound& b = f.bound;
+    const std::string min = std::to_string(static_cast<int>(b.min));
+    if (b.kind == rc::Bound::kAtLeast) table[f.name()] = ">= " + min;
+    if (b.kind == rc::Bound::kAbove) table[f.name()] = "> " + min;
+    if (b.kind == rc::Bound::kFinite) table[f.name()] = "finite";
+  });
+  EXPECT_EQ(table, documented);
+}
+
+// Each subcommand's flags, and the field each one sets, as readys_cli
+// documented them before the table existed.
+TEST(RunConfig, SubcommandsAcceptExactlyTheirFlags) {
+  using FlagMap = std::map<std::string, std::string>;  // flag -> field
+  const std::map<rc::Subcommand, FlagMap> documented = {
+      {rc::kTrain,
+       {{"--trainer", "trainer"},
+        {"--num-envs", "num_envs"},
+        {"--checkpoint-dir", "checkpoint_dir"},
+        {"--checkpoint-every", "checkpoint_every"},
+        {"--checkpoint-retain", "checkpoint_retain"},
+        {"--resume", "resume"}}},
+      {rc::kServeBench,
+       {{"--sessions", "serve_sessions"},
+        {"--rate", "serve_rate"},
+        {"--queue", "serve_queue"},
+        {"--active", "serve_active"},
+        {"--workers", "serve_workers"},
+        {"--deadline-us", "serve_deadline_us"},
+        {"--retries", "serve_retries"},
+        {"--backend", "inference_backend"},
+        {"--arrival", "serve_arrival"},
+        {"--burst-factor", "serve_burst_factor"},
+        {"--pareto-alpha", "serve_pareto_alpha"},
+        {"--tenant-rate", "serve_tenant_rate"},
+        {"--tenant-burst", "serve_tenant_burst"},
+        {"--restart-budget", "serve_restart_budget"},
+        {"--reload-watch", "serve_reload_watch"}}},
+      {rc::kClusterBench,
+       {{"--app", "app"},
+        {"--tiles", "tiles"},
+        {"--ncpu", "ncpu"},
+        {"--ngpu", "ngpu"},
+        {"--sigma", "sigma"},
+        {"--scheduler", "scheduler"},
+        {"--seed", "seed"},
+        {"--shards", "cluster_shards"},
+        {"--stale-ms", "cluster_stale_ms"},
+        {"--hb-ms", "cluster_hb_ms"},
+        {"--parallel", "cluster_parallel"},
+        {"--comm-tile-bytes", "comm_tile_bytes"},
+        {"--comm-bandwidth", "comm_bandwidth"},
+        {"--comm-latency-ms", "comm_latency_ms"},
+        {"--backend", "inference_backend"}}}};
+  std::map<rc::Subcommand, FlagMap> table;
+  std::set<std::string> all = {"--runs", "--config", "--metrics-out"};
+  rc::RunConfig defaults;
+  rc::for_each_field(defaults, [&](const rc::Field& f, auto&) {
+    if (f.flag == nullptr) return;
+    all.insert(f.flag);
+    for (const rc::Subcommand cmd : kSubcommands) {
+      if ((f.commands & cmd) != 0) table[cmd][f.flag] = f.name();
+    }
+  });
+  EXPECT_EQ(table, documented);
+
+  // apply_flag takes exactly those; subcommand-local flags are not rows.
+  for (const auto& [cmd, flags] : documented) {
+    for (const std::string& flag : all) {
+      rc::RunConfig cfg;
+      const char* args[] = {flag.c_str(), "7"};
+      const int want = flags.count(flag) == 0 ? 0 : flag == "--resume" ? 1 : 2;
+      EXPECT_EQ(cfg.apply_flag(cmd, 2, args), want) << flag << " on " << cmd;
+    }
+  }
+}
+
+TEST(RunConfig, EnvVariablesMapToTheirFields) {
+  const std::map<std::string, std::string> documented = {
+      {"READYS_APP", "app"},
+      {"READYS_TILES", "tiles"},
+      {"READYS_NCPU", "ncpu"},
+      {"READYS_NGPU", "ngpu"},
+      {"READYS_SIGMA", "sigma"},
+      {"READYS_TRAIN_EPISODES", "episodes"},
+      {"READYS_NUM_ENVS", "num_envs"},
+      {"READYS_SEED", "seed"},
+      {"READYS_HIDDEN", "agent.hidden"},
+      {"READYS_SERVE_SESSIONS", "serve_sessions"},
+      {"READYS_SERVE_RATE", "serve_rate"},
+      {"READYS_SERVE_QUEUE", "serve_queue"},
+      {"READYS_SERVE_ACTIVE", "serve_active"},
+      {"READYS_SERVE_WORKERS", "serve_workers"},
+      {"READYS_SERVE_DEADLINE_US", "serve_deadline_us"},
+      {"READYS_SERVE_RETRIES", "serve_retries"},
+      {"READYS_SERVE_ARRIVAL", "serve_arrival"},
+      {"READYS_SERVE_BURST_FACTOR", "serve_burst_factor"},
+      {"READYS_SERVE_PARETO_ALPHA", "serve_pareto_alpha"},
+      {"READYS_SERVE_TENANT_RATE", "serve_tenant_rate"},
+      {"READYS_SERVE_TENANT_BURST", "serve_tenant_burst"},
+      {"READYS_SERVE_RESTART_BUDGET", "serve_restart_budget"},
+      {"READYS_SERVE_RELOAD_WATCH", "serve_reload_watch"},
+      {"READYS_INFERENCE_BACKEND", "inference_backend"},
+      {"READYS_COMM_TILE_BYTES", "comm_tile_bytes"},
+      {"READYS_COMM_BANDWIDTH", "comm_bandwidth"},
+      {"READYS_COMM_LATENCY_MS", "comm_latency_ms"},
+      {"READYS_CLUSTER_SHARDS", "cluster_shards"},
+      {"READYS_CLUSTER_STALE_MS", "cluster_stale_ms"},
+      {"READYS_CLUSTER_HB_MS", "cluster_hb_ms"},
+      {"READYS_CLUSTER_PARALLEL", "cluster_parallel"}};
+  std::map<std::string, std::string> table;
+  std::size_t rows_with_env = 0;
+  rc::RunConfig cfg;
+  rc::for_each_field(cfg, [&](const rc::Field& f, auto&) {
+    if (f.env == nullptr) return;
+    table[f.env] = f.name();
+    ++rows_with_env;
+  });
+  EXPECT_EQ(rows_with_env, documented.size());
+  EXPECT_EQ(table, documented);
+
+  // A base config is overlaid, not replaced: unset variables keep it.
+  rc::RunConfig base;
+  base.agent.hidden = 32;
+  EXPECT_EQ(rc::RunConfig::from_env(base).agent.hidden, 32);
+  ::setenv("READYS_HIDDEN", "16", 1);
+  EXPECT_EQ(rc::RunConfig::from_env(base).agent.hidden, 16);
+  ::unsetenv("READYS_HIDDEN");
 }
